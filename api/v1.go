@@ -140,7 +140,9 @@ type DeleteResult struct {
 	CachePurged int    `json:"cache_purged"`
 }
 
-// CountRequest is the POST /v1/graphs/{name}/count body.
+// CountRequest is the POST /v1/graphs/{name}/count body. A count job runs
+// as a one-stage pipeline plan whose count stage shares its cache entries
+// with pipeline count stages.
 type CountRequest struct {
 	// Algorithm is "exact" (default), "edge-sample" or "wedge-sample".
 	Algorithm string `json:"algorithm,omitempty"`
@@ -166,9 +168,13 @@ type CountResult struct {
 	ElapsedMS    float64   `json:"elapsed_ms"`
 }
 
-// ProfileRequest is the POST /v1/graphs/{name}/profile body.
+// ProfileRequest is the POST /v1/graphs/{name}/profile body. A profile job
+// runs as a one-stage pipeline plan: the profile is the Profile of the
+// Chung-Lu null_model stage with the same randomizations and seed, and the
+// two share one cached ensemble.
 type ProfileRequest struct {
-	// Randomizations is the number of Chung-Lu null copies (default 3).
+	// Randomizations is the number of Chung-Lu null copies: default 3,
+	// accepted range [1, 64], since each copy costs one full exact count.
 	Randomizations int `json:"randomizations,omitempty"`
 	// Seed drives the null-model generation.
 	Seed int64 `json:"seed,omitempty"`
@@ -232,6 +238,8 @@ type JobList struct {
 // events while the job runs, then exactly one terminal "result" or "error"
 // event. Pipeline jobs additionally interleave "stage_start"/"stage_done"
 // events, and stamp Stage on the progress events emitted inside a stage.
+// Count and profile jobs forward only their one stage's progress, unstamped:
+// anchor hyperedges for an exact count, finished null copies for a profile.
 type JobEvent struct {
 	Type   string          `json:"type"`
 	Done   int             `json:"done,omitempty"`

@@ -6,7 +6,8 @@
 //
 //  1. the echoed X-Mochy-Trace id and the job/event stamps that carry it,
 //  2. the span tree GET /v1/admin/traces retained for that id
-//     (request span -> job.count -> pool.wait -> kernel stages), and
+//     (request span -> job.count -> stage.count -> pool.wait -> kernel
+//     stages), and
 //  3. the Prometheus exposition on GET /v1/metrics, filtered to the
 //     request/job/kernel families the traffic just moved.
 //

@@ -7,40 +7,28 @@ import (
 	"testing"
 
 	"mochy/api"
-	"mochy/internal/cp"
 	"mochy/internal/generator"
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
 	"mochy/internal/projection"
 )
 
-// benchEnv mirrors the server's wiring: the count path memoizes like the
-// server's result cache does, so the cached variant measures exactly what a
-// prefix re-run costs in production — cache lookups plus the one recomputed
-// suffix stage.
-func benchEnv(g *hypergraph.Hypergraph, cache Cache, memoize bool) *Env {
+// benchEnv mirrors the server's wiring: every stage, count included, goes
+// through the memo, so the cached variant measures exactly what a prefix
+// re-run costs in production — cache lookups plus the one recomputed suffix
+// stage.
+func benchEnv(g *hypergraph.Hypergraph, cache *mapCache) *Env {
 	proj := projection.Build(g)
-	var memo *counting.Counts
 	return &Env{
 		Graph:      g,
-		Proj:       proj,
+		Proj:       func() projection.Projector { return proj },
 		Name:       "bench",
 		GraphID:    "bench#1",
 		MaxWorkers: 4,
 		Pool:       testPool{},
-		Cache:      cache,
-		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
-			if memoize && memo != nil {
-				return *memo, true, nil
-			}
-			c := counting.CountExact(g, proj, workers)
-			if memoize {
-				memo = &c
-			}
-			return c, false, nil
-		},
-		Profile: func(ctx context.Context, randomizations int, seed int64, workers int) (cp.Profile, bool, error) {
-			return cp.Profile{}, false, nil
+		Cache:      cache.memo,
+		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
+			return counting.CountExact(g, proj, workers), nil
 		},
 	}
 }
@@ -75,7 +63,7 @@ func BenchmarkPipelinePrefixCache(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			env := benchEnv(g, newMapCache(), false)
+			env := benchEnv(g, newMapCache())
 			if _, err := Run(context.Background(), env, plan); err != nil {
 				b.Fatal(err)
 			}
@@ -84,7 +72,7 @@ func BenchmarkPipelinePrefixCache(b *testing.B) {
 
 	b.Run("prefix", func(b *testing.B) {
 		cache := newMapCache()
-		env := benchEnv(g, cache, true)
+		env := benchEnv(g, cache)
 		if _, err := Run(context.Background(), env, plan); err != nil {
 			b.Fatal(err)
 		}

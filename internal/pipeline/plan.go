@@ -1,10 +1,11 @@
 // Package pipeline is mochyd's declarative plan engine: it validates and
-// executes the multi-stage analytics jobs served by
-// POST /v1/graphs/{name}/pipeline, wiring the library's dormant analytics
-// operators — null-model significance (Chung-Lu and edge-swap ensembles),
-// motif-aware PageRank, anomaly scoring, co-participation clustering,
-// temporal evolution — behind one typed DAG of stages next to the counting
-// and profiling the server already offered.
+// executes every job the server runs — the multi-stage analytics plans
+// served by POST /v1/graphs/{name}/pipeline, and the one-stage plans behind
+// POST /v1/graphs/{name}/count and /profile. It wires the library's
+// analytics operators — counting, null-model significance (Chung-Lu and
+// edge-swap ensembles), characteristic profiles, motif-aware PageRank,
+// anomaly scoring, co-participation clustering, temporal evolution — behind
+// one typed DAG of stages.
 //
 // A plan is parsed and validated up front (stage kinds, unique ids,
 // dependency acyclicity, per-stage parameters, a stage-count cap), so a bad
@@ -36,8 +37,8 @@ const DefaultMaxStages = 16
 // maxTopK bounds every stage's top-k response size.
 const maxTopK = 1024
 
-// maxRandomizations bounds a null-model ensemble: each copy costs one full
-// exact count.
+// maxRandomizations bounds a null-model ensemble (and so a profile): each
+// copy costs one full exact count.
 const maxRandomizations = 64
 
 // Stage is one validated node of a plan.
@@ -167,15 +168,47 @@ func decodeStrict(raw json.RawMessage, out any) error {
 	return nil
 }
 
+// One builds the one-stage plan a v1 count or profile request runs as.
+// params is the request, already decoded; it gets the same defaults and
+// checks a pipeline stage of that kind gets.
+func One(kind string, params any) (*Plan, error) {
+	if err := check(params); err != nil {
+		return nil, err
+	}
+	return &Plan{Stages: []*Stage{{ID: kind, Kind: kind, Params: params}}}, nil
+}
+
+// newParams allocates the parameter struct of each stage kind.
+var newParams = map[string]func() any{
+	api.StageCount:     func() any { return &api.CountRequest{} },
+	api.StageNullModel: func() any { return &api.NullModelParams{} },
+	api.StageRank:      func() any { return &api.RankParams{} },
+	api.StageAnomaly:   func() any { return &api.AnomalyParams{} },
+	api.StageCluster:   func() any { return &api.ClusterParams{} },
+	api.StageTemporal:  func() any { return &api.TemporalParams{} },
+	api.StageProfile:   func() any { return &api.ProfileRequest{} },
+}
+
 // parseParams decodes and validates the kind-specific parameter document,
 // applying defaults in place.
 func parseParams(kind string, raw json.RawMessage) (any, error) {
-	switch kind {
-	case api.StageCount:
-		p := &api.CountRequest{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
+	mk, ok := newParams[kind]
+	if !ok {
+		return nil, fmt.Errorf("unknown stage kind %q (want %s, %s, %s, %s, %s, %s or %s)",
+			kind, api.StageCount, api.StageNullModel, api.StageRank, api.StageAnomaly,
+			api.StageCluster, api.StageTemporal, api.StageProfile)
+	}
+	p := mk()
+	if err := decodeStrict(raw, p); err != nil {
+		return nil, err
+	}
+	return p, check(p)
+}
+
+// check applies a stage's parameter defaults in place and validates them.
+func check(params any) error {
+	switch p := params.(type) {
+	case *api.CountRequest:
 		if p.Algorithm == "" {
 			p.Algorithm = api.AlgoExact
 		}
@@ -183,125 +216,89 @@ func parseParams(kind string, raw json.RawMessage) (any, error) {
 		case api.AlgoExact:
 		case api.AlgoEdge, api.AlgoWedge:
 			if p.Samples <= 0 {
-				return nil, fmt.Errorf("samples must be positive for %s", p.Algorithm)
+				return fmt.Errorf("samples must be positive for %s", p.Algorithm)
 			}
 		default:
-			return nil, fmt.Errorf("unknown algorithm %q (want %s, %s or %s)",
+			return fmt.Errorf("unknown algorithm %q (want %s, %s or %s)",
 				p.Algorithm, api.AlgoExact, api.AlgoEdge, api.AlgoWedge)
 		}
-		return p, nil
 
-	case api.StageNullModel:
-		p := &api.NullModelParams{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
+	case *api.NullModelParams:
 		if p.Model == "" {
 			p.Model = api.NullModelChungLu
 		}
 		switch p.Model {
 		case api.NullModelChungLu:
 			if p.SwapsPerIncidence != 0 {
-				return nil, fmt.Errorf("swaps_per_incidence applies only to %s", api.NullModelEdgeSwap)
+				return fmt.Errorf("swaps_per_incidence applies only to %s", api.NullModelEdgeSwap)
 			}
 		case api.NullModelEdgeSwap:
 			if p.SwapsPerIncidence < 0 {
-				return nil, fmt.Errorf("swaps_per_incidence must be non-negative")
+				return fmt.Errorf("swaps_per_incidence must be non-negative")
 			}
 		default:
-			return nil, fmt.Errorf("unknown null model %q (want %s or %s)",
+			return fmt.Errorf("unknown null model %q (want %s or %s)",
 				p.Model, api.NullModelChungLu, api.NullModelEdgeSwap)
 		}
-		if p.Randomizations == 0 {
-			p.Randomizations = 3
-		}
-		if p.Randomizations < 1 || p.Randomizations > maxRandomizations {
-			return nil, fmt.Errorf("randomizations must be in [1, %d]", maxRandomizations)
-		}
-		return p, nil
+		return checkRandomizations(&p.Randomizations)
 
-	case api.StageRank:
-		p := &api.RankParams{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
+	case *api.RankParams:
 		if p.Weights == "" {
 			p.Weights = api.RankWeightOverlap
 		}
 		switch p.Weights {
 		case api.RankWeightOverlap, api.RankWeightMotif, api.RankWeightClosedMotif:
 		default:
-			return nil, fmt.Errorf("unknown weights %q (want %s, %s or %s)",
+			return fmt.Errorf("unknown weights %q (want %s, %s or %s)",
 				p.Weights, api.RankWeightOverlap, api.RankWeightMotif, api.RankWeightClosedMotif)
 		}
 		if p.Damping == 0 {
 			p.Damping = 0.85
 		}
 		if p.Damping < 0 || p.Damping >= 1 {
-			return nil, fmt.Errorf("damping must be in [0, 1)")
+			return fmt.Errorf("damping must be in [0, 1)")
 		}
 		if p.MaxIter < 0 {
-			return nil, fmt.Errorf("max_iter must be non-negative")
+			return fmt.Errorf("max_iter must be non-negative")
 		}
-		if err := clampTopK(&p.TopK); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return clampTopK(&p.TopK)
 
-	case api.StageAnomaly:
-		p := &api.AnomalyParams{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
-		if err := clampTopK(&p.TopK); err != nil {
-			return nil, err
-		}
-		return p, nil
+	case *api.AnomalyParams:
+		return clampTopK(&p.TopK)
 
-	case api.StageCluster:
-		p := &api.ClusterParams{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
+	case *api.ClusterParams:
 		if p.MinWeight < 0 {
-			return nil, fmt.Errorf("min_weight must be non-negative")
+			return fmt.Errorf("min_weight must be non-negative")
 		}
 		if p.MaxIter < 0 {
-			return nil, fmt.Errorf("max_iter must be non-negative")
+			return fmt.Errorf("max_iter must be non-negative")
 		}
-		if err := clampTopK(&p.TopK); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return clampTopK(&p.TopK)
 
-	case api.StageTemporal:
-		p := &api.TemporalParams{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
+	case *api.TemporalParams:
 		if p.Width <= 0 || p.Stride <= 0 {
-			return nil, fmt.Errorf("width and stride must be positive")
+			return fmt.Errorf("width and stride must be positive")
 		}
-		return p, nil
 
-	case api.StageProfile:
-		p := &api.ProfileRequest{}
-		if err := decodeStrict(raw, p); err != nil {
-			return nil, err
-		}
-		if p.Randomizations == 0 {
-			p.Randomizations = 3
-		}
-		if p.Randomizations < 1 || p.Randomizations > maxRandomizations {
-			return nil, fmt.Errorf("randomizations must be in [1, %d]", maxRandomizations)
-		}
-		return p, nil
+	case *api.ProfileRequest:
+		return checkRandomizations(&p.Randomizations)
 
 	default:
-		return nil, fmt.Errorf("unknown stage kind %q (want %s, %s, %s, %s, %s, %s or %s)",
-			kind, api.StageCount, api.StageNullModel, api.StageRank, api.StageAnomaly,
-			api.StageCluster, api.StageTemporal, api.StageProfile)
+		return fmt.Errorf("unhandled params type %T", params)
 	}
+	return nil
+}
+
+// checkRandomizations applies the default and cap shared by every ensemble
+// size: each copy costs one full exact count.
+func checkRandomizations(n *int) error {
+	if *n == 0 {
+		*n = 3
+	}
+	if *n < 1 || *n > maxRandomizations {
+		return fmt.Errorf("randomizations must be in [1, %d]", maxRandomizations)
+	}
+	return nil
 }
 
 // clampTopK applies the default and cap shared by every top-k parameter.

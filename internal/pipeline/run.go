@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mochy/api"
-	"mochy/internal/cp"
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
 	"mochy/internal/obs"
@@ -23,47 +22,49 @@ type Pool interface {
 	Release()
 }
 
-// Cache stores stage results keyed by graph identity + stage parameters.
-// randomized marks ensemble-based results that should take the server's
-// sampling TTL; cost feeds cost-weighted eviction.
-type Cache interface {
-	Get(key string) (any, bool)
-	Put(key string, v any, randomized bool, cost time.Duration)
-}
+// Cache is the memo every stage result passes through, keyed by Key. It
+// serves key's value from a cache, or runs compute and caches the value it
+// returns. compute reports its cost, the compute time after pool admission,
+// which weights the entry's eviction; randomized marks sampled estimates and
+// ensemble-based results, which take the sampling TTL. cached reports
+// whether the value came from the cache or from a concurrent caller's
+// computation.
+type Cache func(ctx context.Context, key string, randomized bool, compute func(ctx context.Context) (any, time.Duration, error)) (v any, cached bool, err error)
 
-// Env binds a validated plan to one graph and the server's machinery. Count
-// and Profile delegate to the server's existing cached compute paths (pool
-// admission, request collapsing, result cache, count persistence), so a
-// pipeline count stage and a direct POST /count share cache entries; the
-// analytics stages implemented here cache through Cache under "pipe|" keys.
+// Env binds a validated plan to one graph and the server's machinery.
 type Env struct {
 	Graph *hypergraph.Hypergraph
-	Proj  projection.Projector
+	// Proj returns the graph's projection, built on first use: count and
+	// null-model stages never need it.
+	Proj func() projection.Projector
 	// Name is the graph's registered name, echoed in stage payloads.
 	Name string
 	// GraphID is the cache-identity prefix "name#generation": keys built
-	// from it die with the generation, exactly like count/profile keys.
+	// from it die with the generation.
 	GraphID string
 	// MaxWorkers caps per-stage worker parameters.
 	MaxWorkers int
 	// DefaultWorkers resolves a stage's unset (0) workers parameter; 0 falls
-	// back to MaxWorkers. The server sets it to min(GOMAXPROCS, MaxWorkers),
-	// matching the count endpoints' default.
+	// back to MaxWorkers. The server sets it to min(GOMAXPROCS, MaxWorkers).
 	DefaultWorkers int
 
-	Pool   Pool
+	Pool Pool
+	// Cache memoizes every stage result. nil computes every stage directly,
+	// so two identical stages of one plan each run.
 	Cache  Cache
 	Tracer *obs.Tracer
 	// Observe records one finished stage's wall-clock duration per stage
 	// kind (mochyd_pipeline_stage_duration_seconds); nil skips.
 	Observe func(kind string, d time.Duration)
+	// Kernel records one null-model ensemble's compute time under the kernel
+	// stage "null-model" (mochyd_kernel_stage_seconds); nil skips.
+	Kernel func(stage string, d time.Duration)
 	// Events receives stage lifecycle and progress events; nil skips.
 	Events func(ev api.JobEvent)
 
-	// Count runs (or serves from cache) one count on the bound graph.
-	Count func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error)
-	// Profile runs (or serves from cache) one characteristic profile.
-	Profile func(ctx context.Context, randomizations int, seed int64, workers int) (cp.Profile, bool, error)
+	// Count runs one count kernel on the bound graph. The caller holds a
+	// pool slot, and caching is the Cache's.
+	Count func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error)
 }
 
 // emit publishes one event if the env has a sink.
@@ -152,55 +153,59 @@ func Run(ctx context.Context, env *Env, plan *Plan) (api.PipelineResult, error) 
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	for i, st := range plan.Stages {
-		wg.Add(1)
-		go func(i int, st *Stage) {
-			defer wg.Done()
-			for _, dep := range st.After {
-				select {
-				case <-done[index[dep]]:
-				case <-runCtx.Done():
-					return
-				}
-			}
-			if runCtx.Err() != nil {
+	exec := func(ctx context.Context, i int, st *Stage) {
+		defer wg.Done()
+		for _, dep := range st.After {
+			select {
+			case <-done[index[dep]]:
+			case <-ctx.Done():
 				return
 			}
-			env.emit(api.JobEvent{Type: api.EventStageStart, Stage: st.ID, Kind: st.Kind})
-			sctx, span := env.Tracer.StartSpan(runCtx, "stage."+st.Kind)
-			span.SetAttr("stage", st.ID)
-			t0 := time.Now()
-			payload, counts, cached, err := runStage(sctx, env, st, exact)
-			elapsed := time.Since(t0)
-			if env.Observe != nil {
-				env.Observe(st.Kind, elapsed)
-			}
-			if err != nil {
-				span.SetAttr("error", err.Error())
-				span.End()
-				fail(fmt.Errorf("stage %q (%s): %w", st.ID, st.Kind, err))
-				return
-			}
-			if cached {
-				span.SetAttr("cached", "true")
-			}
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		env.emit(api.JobEvent{Type: api.EventStageStart, Stage: st.ID, Kind: st.Kind})
+		sctx, span := env.Tracer.StartSpan(ctx, "stage."+st.Kind)
+		span.SetAttr("stage", st.ID)
+		t0 := time.Now()
+		payload, counts, cached, err := runStage(sctx, env, st, exact)
+		elapsed := time.Since(t0)
+		if env.Observe != nil {
+			env.Observe(st.Kind, elapsed)
+		}
+		if err != nil {
+			span.SetAttr("error", err.Error())
 			span.End()
-			raw, merr := json.Marshal(payload)
-			if merr != nil {
-				fail(fmt.Errorf("stage %q (%s): encode result: %v", st.ID, st.Kind, merr))
-				return
-			}
-			ms := float64(elapsed.Microseconds()) / 1000
-			mu.Lock()
-			results[i] = &api.StageResult{ID: st.ID, Kind: st.Kind, Cached: cached, ElapsedMS: ms, Result: raw}
-			mu.Unlock()
-			if counts != nil {
-				exact.put(st.ID, counts)
-			}
-			env.emit(api.JobEvent{Type: api.EventStageDone, Stage: st.ID, Kind: st.Kind, Cached: cached, ElapsedMS: ms})
-			close(done[i])
-		}(i, st)
+			fail(fmt.Errorf("stage %q (%s): %w", st.ID, st.Kind, err))
+			return
+		}
+		if cached {
+			span.SetAttr("cached", "true")
+		}
+		span.End()
+		raw, merr := json.Marshal(payload)
+		if merr != nil {
+			fail(fmt.Errorf("stage %q (%s): encode result: %v", st.ID, st.Kind, merr))
+			return
+		}
+		ms := float64(elapsed.Microseconds()) / 1000
+		mu.Lock()
+		results[i] = &api.StageResult{ID: st.ID, Kind: st.Kind, Cached: cached, ElapsedMS: ms, Result: raw}
+		mu.Unlock()
+		if counts != nil {
+			exact.put(st.ID, counts)
+		}
+		env.emit(api.JobEvent{Type: api.EventStageDone, Stage: st.ID, Kind: st.Kind, Cached: cached, ElapsedMS: ms})
+		close(done[i])
 	}
+	wg.Add(n)
+	for i := 1; i < n; i++ {
+		go exec(runCtx, i, plan.Stages[i])
+	}
+	// The first stage in topological order depends on nothing, so it runs
+	// on the caller's goroutine: a one-stage plan spawns no goroutine.
+	exec(runCtx, 0, plan.Stages[0])
 	wg.Wait()
 	// Completed stages report in topological order whatever order branches
 	// finished in.
@@ -244,15 +249,15 @@ func runStage(ctx context.Context, env *Env, st *Stage, exact *exactStore) (payl
 		r, cached, err := runTemporal(ctx, env, p)
 		return r, nil, cached, err
 	case *api.ProfileRequest:
-		r, cached, err := runProfileStage(ctx, env, p)
+		r, cached, err := runProfile(ctx, env, st, p, exact)
 		return r, nil, cached, err
 	default:
 		return nil, nil, false, fmt.Errorf("unhandled params type %T", st.Params)
 	}
 }
 
-// runCountStage serves a count stage through the server's count path,
-// streaming throttled progress events stamped with the stage id.
+// runCountStage serves a count stage, streaming throttled progress events
+// stamped with the stage id.
 func runCountStage(ctx context.Context, env *Env, st *Stage, p *api.CountRequest) (any, *counting.Counts, bool, error) {
 	start := time.Now()
 	var progress func(done, total int)
@@ -261,7 +266,7 @@ func runCountStage(ctx context.Context, env *Env, st *Stage, p *api.CountRequest
 			env.emit(api.JobEvent{Type: api.EventProgress, Stage: st.ID, Done: done, Total: total})
 		})
 	}
-	c, cached, err := env.Count(ctx, p.Algorithm, p.Samples, p.Seed, env.workers(p.Workers), progress)
+	c, cached, err := count(ctx, env, p, progress)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -281,25 +286,20 @@ func runCountStage(ctx context.Context, env *Env, st *Stage, p *api.CountRequest
 	return res, counts, cached, nil
 }
 
-// runProfileStage serves a profile stage through the server's profile path.
-func runProfileStage(ctx context.Context, env *Env, p *api.ProfileRequest) (any, bool, error) {
-	if env.Graph.TotalIncidence() == 0 {
-		return nil, false, fmt.Errorf("graph has no incidences to randomize")
+// count serves one count of the bound graph through the memo. Only the
+// sampling budget and seed join the algorithm in the key, so an exact
+// count's params are the algorithm name alone: that is the entry snapshots
+// and recovery seed. Estimates take the sampling TTL; exact counts never
+// expire.
+func count(ctx context.Context, env *Env, p *api.CountRequest, progress func(done, total int)) (counting.Counts, bool, error) {
+	params := p.Algorithm
+	if p.Algorithm != api.AlgoExact {
+		params = fmt.Sprintf("%s|s=%d|seed=%d", p.Algorithm, p.Samples, p.Seed)
 	}
-	start := time.Now()
-	prof, cached, err := env.Profile(ctx, p.Randomizations, p.Seed, env.workers(p.Workers))
-	if err != nil {
-		return nil, false, err
-	}
-	return api.ProfileResult{
-		Graph:          env.Name,
-		Randomizations: p.Randomizations,
-		Seed:           p.Seed,
-		Profile:        prof[:],
-		Norm:           prof.Norm(),
-		Cached:         cached,
-		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-	}, cached, nil
+	workers := env.workers(p.Workers)
+	return serve(ctx, env, api.StageCount, params, p.Algorithm != api.AlgoExact, func(ctx context.Context) (counting.Counts, error) {
+		return env.Count(ctx, p.Algorithm, p.Samples, p.Seed, workers, progress)
+	})
 }
 
 // throttle is the shared ~1%-granularity progress limiter: huge enumerations

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mochy/api"
-	"mochy/internal/cp"
 	"mochy/internal/generator"
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
@@ -24,7 +23,7 @@ type testPool struct{}
 func (testPool) Acquire(ctx context.Context) error { return ctx.Err() }
 func (testPool) Release()                          {}
 
-// mapCache is a plain locked map behind the executor's Cache interface
+// mapCache is a plain locked map behind the executor's Cache hook
 // (concurrent DAG branches hit it in parallel).
 type mapCache struct {
 	mu sync.Mutex
@@ -33,39 +32,42 @@ type mapCache struct {
 
 func newMapCache() *mapCache { return &mapCache{m: make(map[string]any)} }
 
-func (c *mapCache) Get(key string) (any, bool) {
+func (c *mapCache) memo(ctx context.Context, key string, _ bool, compute func(context.Context) (any, time.Duration, error)) (any, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *mapCache) Put(key string, v any, _ bool, _ time.Duration) {
+	c.mu.Unlock()
+	if ok {
+		return v, true, nil
+	}
+	v, _, err := compute(ctx)
+	if err != nil {
+		return nil, false, err
+	}
 	c.mu.Lock()
 	c.m[key] = v
 	c.mu.Unlock()
+	return v, false, nil
 }
 
 // testEnv binds a graph to stub infrastructure, counting how many times the
 // count path is invoked.
-func testEnv(g *hypergraph.Hypergraph, cache Cache) (*Env, *int) {
+func testEnv(g *hypergraph.Hypergraph, cache *mapCache) (*Env, *int) {
 	proj := projection.Build(g)
 	countCalls := new(int)
 	env := &Env{
 		Graph:      g,
-		Proj:       proj,
+		Proj:       func() projection.Projector { return proj },
 		Name:       "g",
 		GraphID:    "g#1",
 		MaxWorkers: 2,
 		Pool:       testPool{},
-		Cache:      cache,
-		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
+		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
 			*countCalls++
-			return counting.CountExact(g, proj, workers), false, nil
+			return counting.CountExact(g, proj, workers), nil
 		},
-		Profile: func(ctx context.Context, randomizations int, seed int64, workers int) (cp.Profile, bool, error) {
-			return cp.Profile{}, false, nil
-		},
+	}
+	if cache != nil {
+		env.Cache = cache.memo
 	}
 	return env, countCalls
 }
@@ -186,8 +188,8 @@ func TestRunPrefixCacheHit(t *testing.T) {
 			t.Fatalf("cold run reported stage %q cached", st.ID)
 		}
 	}
-	// Same prefix, different rank config: count is delegated (its caching
-	// is the server's), null_model must hit, rank must recompute.
+	// Same prefix, different rank config: null_model must hit, rank must
+	// recompute.
 	second := mustParse(t,
 		stage("count", "count", ""),
 		stage("sig", "null_model", `{"randomizations": 2}`, "count"),
@@ -317,16 +319,16 @@ func TestRunIndependentBranchesConcurrent(t *testing.T) {
 	arrived := make(chan struct{}, 2)
 	proceed := make(chan struct{})
 	env := &Env{
-		Graph: g, Proj: proj, Name: "g", GraphID: "g#1", MaxWorkers: 2,
+		Graph: g, Proj: func() projection.Projector { return proj }, Name: "g", GraphID: "g#1", MaxWorkers: 2,
 		Pool: testPool{},
-		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
+		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
 			arrived <- struct{}{}
 			select {
 			case <-proceed:
 			case <-time.After(10 * time.Second):
-				return counting.Counts{}, false, context.DeadlineExceeded
+				return counting.Counts{}, context.DeadlineExceeded
 			}
-			return counting.CountExact(g, proj, workers), false, nil
+			return counting.CountExact(g, proj, workers), nil
 		},
 	}
 	go func() {

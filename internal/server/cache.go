@@ -7,9 +7,9 @@ import (
 )
 
 // Cache is a partitioned LRU of computed results, keyed by strings that
-// encode graph identity (name + generation), algorithm, and every parameter
-// the result depends on. A repeated query for an unchanged graph is served
-// from here without touching the counting kernels.
+// encode graph identity (name + generation), stage kind, and every parameter
+// the result depends on (see pipeline.Key). A repeated query for an
+// unchanged graph is served from here without touching the counting kernels.
 //
 // The capacity is split across partitions selected by the graph-identity
 // prefix of the key (everything before the '#' that starts the generation),
@@ -134,12 +134,11 @@ func NewCacheParts(capacity, parts int) *Cache {
 }
 
 // partitionHash hashes a cache key's graph-identity prefix: everything
-// before the '#' that introduces the generation ("count|name#gen|..." →
-// "count|name"), FNV-1a like shardmap.Hash, in one pass with no allocation
-// — this runs on every cache operation. Keys of one graph always share a
-// prefix, so they always share a partition; count and profile keys of the
-// same graph may land in different partitions, which is harmless —
-// isolation only requires that another graph's pressure stays out.
+// before the '#' that introduces the generation ("name#gen|kind|..." →
+// "name"), FNV-1a like shardmap.Hash, in one pass with no allocation — this
+// runs on every cache operation. Every key of one graph, whatever its stage
+// kind, shares the prefix and so the partition; isolation only requires
+// that another graph's pressure stays out.
 func partitionHash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

@@ -243,13 +243,13 @@ func TestGraphKeyGen(t *testing.T) {
 		gen       uint64
 		ok        bool
 	}{
-		{"count|g#7|exact", "g", 7, true},
-		{"profile|g#12|n=3|seed=0", "g", 12, true},
-		{"count|g#7|exact", "other", 0, false},
+		{"g#7|count|exact", "g", 7, true},
+		{"g#12|null_model|m=chung-lu|n=3|seed=0|spi=0", "g", 12, true},
+		{"g#7|count|exact", "other", 0, false},
 		// A graph named "a" must not match keys of a graph named "a#1".
-		{"count|a#1#2|exact", "a", 0, false},
-		{"count|a#1#2|exact", "a#1", 2, true},
-		{"bogus|g#7|exact", "g", 0, false},
+		{"a#1#2|count|exact", "a", 0, false},
+		{"a#1#2|count|exact", "a#1", 2, true},
+		{"bogus|g#7|count|exact", "g", 0, false},
 	}
 	for _, tc := range cases {
 		gen, ok := graphKeyGen(tc.key, tc.name)

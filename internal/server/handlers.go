@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"mochy/api"
 	"mochy/internal/hypergraph"
-	counting "mochy/internal/mochy"
 )
 
 // maxUploadBytes bounds graph upload bodies (64 MiB of text covers every
@@ -37,18 +35,6 @@ func toStats(s hypergraph.Stats) api.Stats {
 		MeanDegree:     s.MeanDegree,
 		SizeHistogram:  s.SizeHistogram,
 		DegreeHist:     s.DegreeHistogram,
-	}
-}
-
-func toCountResult(graph, algo string, c counting.Counts, cached bool, elapsed time.Duration) api.CountResult {
-	return api.CountResult{
-		Graph:        graph,
-		Algorithm:    algo,
-		Counts:       c[:],
-		Total:        c.Total(),
-		OpenFraction: c.OpenFraction(),
-		Cached:       cached,
-		ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
 	}
 }
 
@@ -167,44 +153,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, p params) {
 		return
 	}
 	writeJSON(w, http.StatusOK, toStats(e.Stats))
-}
-
-// throttledProgress wraps emit in the ~1%-granularity progress throttle of
-// count job events: huge graphs must not produce one event per enumeration
-// stride, and
-// progress must never go backwards (the internal mutex makes the decide-
-// and-emit step atomic across worker goroutines).
-func throttledProgress(total int, emit func(done, total int)) func(done, total int) {
-	step := total / 100
-	if step < 1 {
-		step = 1
-	}
-	lastEmit := 0
-	var mu sync.Mutex
-	return func(done, tot int) {
-		mu.Lock()
-		if done >= lastEmit+step && done < tot {
-			lastEmit = done
-			emit(done, tot)
-		}
-		mu.Unlock()
-	}
-}
-
-// validateCount normalizes and validates a count request in place.
-func validateCount(req *api.CountRequest) error {
-	if req.Algorithm == "" {
-		req.Algorithm = algoExact
-	}
-	switch req.Algorithm {
-	case algoExact:
-	case algoEdge, algoWedge:
-		if req.Samples <= 0 {
-			return fmt.Errorf("samples must be positive for %s", req.Algorithm)
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q (want %s, %s or %s)",
-			req.Algorithm, algoExact, algoEdge, algoWedge)
-	}
-	return nil
 }

@@ -292,7 +292,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, p params
 	s.purgeStaleGenerations(target, e.Gen)
 	// Recomputing a seeded exact count means a full MoCHy-E run, so it gets
 	// a high eviction cost even though it cost this request nothing.
-	s.putIfCurrent(e, countKey(e, algoExact, 0, 0), counts, 0, snapshotSeedCost)
+	s.putIfCurrent(e, exactKey(e), counts, 0, snapshotSeedCost)
 	if s.store != nil {
 		// Persist the frozen view with its exact counts; replacing an older
 		// generation's segment deletes that segment and its sidecar, so

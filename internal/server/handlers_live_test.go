@@ -345,16 +345,26 @@ func TestDeleteGraphPurgesCache(t *testing.T) {
 	runJob(t, ts.URL+"/v1/graphs/a/count", map[string]any{"algorithm": "exact"})
 	runJob(t, ts.URL+"/v1/graphs/a/count", map[string]any{"algorithm": "edge-sample", "samples": 50, "seed": 1})
 	runJob(t, ts.URL+"/v1/graphs/b/count", map[string]any{"algorithm": "exact"})
-	if n := s.cache.Len(); n != 3 {
-		t.Fatalf("cache has %d entries, want 3", n)
+	// Every kind shares one key layout: a profile (one Chung-Lu ensemble
+	// entry) and a count -> null_model -> rank pipeline (one more ensemble
+	// and a rank entry; its count is a's cached exact count).
+	runJob(t, ts.URL+"/v1/graphs/a/profile", map[string]any{"randomizations": 1, "seed": 5})
+	id, _ := startPipeline(t, ts.URL, "a",
+		pipelineStage("count", "count", ""),
+		pipelineStage("sig", "null_model", `{"randomizations": 1, "seed": 6}`, "count"),
+		pipelineStage("rank", "rank", "", "sig"),
+	)
+	waitPipelineJob(t, ts.URL, id)
+	if n := s.cache.Len(); n != 6 {
+		t.Fatalf("cache has %d entries, want 6", n)
 	}
 
 	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/a", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: HTTP %d", resp.StatusCode)
 	}
-	if got := field[int](t, body, "cache_purged"); got != 2 {
-		t.Fatalf("cache_purged = %d, want 2", got)
+	if got := field[int](t, body, "cache_purged"); got != 5 {
+		t.Fatalf("cache_purged = %d, want 5", got)
 	}
 	if n := s.cache.Len(); n != 1 {
 		t.Fatalf("cache has %d entries after purge, want b's 1", n)
@@ -525,17 +535,36 @@ func TestSamplingTTLExpiry(t *testing.T) {
 	g := benchGraph(40)
 	e, _ := s.registry.Load("g", g)
 
-	if _, cached, err := s.count(context.Background(), e, algoEdge, 50, 1, 1); err != nil || cached {
+	sampled := &api.CountRequest{Algorithm: algoEdge, Samples: 50, Seed: 1, Workers: 1}
+	if cached, err := runStage(s, e, api.StageCount, sampled); err != nil || cached {
 		t.Fatalf("cold sampled count: cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoEdge, 50, 1, 1); err != nil || cached {
+	if cached, err := runStage(s, e, api.StageCount, sampled); err != nil || cached {
 		t.Fatalf("expired sampled count served from cache (TTL ignored): cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil || cached {
+	exact := &api.CountRequest{Algorithm: algoExact, Workers: 1}
+	if cached, err := runStage(s, e, api.StageCount, exact); err != nil || cached {
 		t.Fatalf("cold exact count: cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil || !cached {
+	if cached, err := runStage(s, e, api.StageCount, exact); err != nil || !cached {
 		t.Fatalf("exact count must never expire: cached=%v err=%v", cached, err)
+	}
+
+	// Profiles and null_model ensembles are randomized results: both take
+	// the sampling TTL.
+	for _, tc := range []struct {
+		kind   string
+		params func() any
+	}{
+		{api.StageProfile, func() any { return &api.ProfileRequest{Randomizations: 1, Seed: 3, Workers: 1} }},
+		{api.StageNullModel, func() any { return &api.NullModelParams{Randomizations: 1, Seed: 4, Workers: 1} }},
+	} {
+		if cached, err := runStage(s, e, tc.kind, tc.params()); err != nil || cached {
+			t.Fatalf("cold %s: cached=%v err=%v", tc.kind, cached, err)
+		}
+		if cached, err := runStage(s, e, tc.kind, tc.params()); err != nil || cached {
+			t.Fatalf("expired %s served from cache (TTL ignored): cached=%v err=%v", tc.kind, cached, err)
+		}
 	}
 }
 
@@ -704,7 +733,7 @@ func TestDeadGenerationNotRecached(t *testing.T) {
 	defer s.Close()
 	e, _ := s.registry.Load("g", benchGraph(51))
 	s.registry.Delete("g")
-	if _, _, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil {
+	if _, err := runStage(s, e, api.StageCount, &api.CountRequest{Algorithm: algoExact, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.cache.Len(); n != 0 {

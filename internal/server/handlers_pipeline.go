@@ -3,23 +3,23 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
 	"mochy/api"
-	"mochy/internal/cp"
 	counting "mochy/internal/mochy"
 	"mochy/internal/obs"
 	"mochy/internal/pipeline"
+	"mochy/internal/projection"
 )
 
 // handleStartPipeline serves POST /v1/graphs/{name}/pipeline: the declarative
 // multi-stage analytics plan. The whole plan is validated (stage kinds,
 // dependency acyclicity, per-stage parameters, the configured stage cap)
-// before the 202, so a bad plan is a 400 here, never a failed job; the
-// backpressure budget applies exactly as it does to count and profile jobs.
+// before the 202, so a bad plan is a 400 here, never a failed job.
 func (s *Server) handleStartPipeline(w http.ResponseWriter, r *http.Request, p params) {
 	e, ok := s.registry.Get(p["name"])
 	if !ok {
@@ -36,85 +36,130 @@ func (s *Server) handleStartPipeline(w http.ResponseWriter, r *http.Request, p p
 		writeError(w, http.StatusBadRequest, "invalid plan: %v", err)
 		return
 	}
+	s.startJob(w, r, e, api.JobKindPipeline, plan)
+}
+
+// startJob admits a validated plan as an asynchronous job of kind and
+// answers 202 with the job resource; past the backpressure budget it answers
+// 429 instead. Count, profile and pipeline jobs all start here.
+func (s *Server) startJob(w http.ResponseWriter, r *http.Request, e *Entry, kind string, plan *pipeline.Plan) {
 	if s.overBudget() {
 		s.writeBackpressure(w)
 		return
 	}
-	j := s.jobs.create(api.JobKindPipeline, e.Name, obs.TraceID(r.Context()))
-	go s.runPipelineJob(obs.InheritTrace(s.baseCtx, r.Context()), j, e, plan)
+	j := s.jobs.create(kind, e.Name, obs.TraceID(r.Context()))
+	// Jobs outlive the request that starts them (the 202 returns now), so
+	// they run under the server's lifetime context, not r.Context() — but
+	// they inherit the request's trace identity, so the job's spans and
+	// logs join the trace that started it.
+	go s.runJob(obs.InheritTrace(s.baseCtx, r.Context()), j, e, plan)
 	s.writeJob(w, http.StatusAccepted, j)
 }
 
-// runPipelineJob executes one asynchronous pipeline: the executor publishes
-// stage_start / progress / stage_done events through the job, and the job
-// finishes with the full PipelineResult or the first failing stage's error.
-func (s *Server) runPipelineJob(ctx context.Context, j *job, e *Entry, plan *pipeline.Plan) {
+// runJob is the one job runner. A pipeline job publishes every stage event
+// and finishes with the full PipelineResult or the first failing stage's
+// error. A count or profile job runs a one-stage plan: it forwards only that
+// stage's progress events, without the stage stamp, and finishes with the
+// stage's payload alone, so its event stream stays progress-then-result.
+func (s *Server) runJob(ctx context.Context, j *job, e *Entry, plan *pipeline.Plan) {
 	start := time.Now()
-	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
-	ctx, span := s.tracer.StartSpan(ctx, "job.pipeline")
+	ctx, span := s.tracer.StartSpan(ctx, "job."+j.kind)
+	defer span.End()
 	span.SetAttr("job", j.id)
 	span.SetAttr("graph", e.Name)
 	span.SetAttr("stages", strconv.Itoa(len(plan.Stages)))
 	j.setRunning(s.jobs.now())
-	res, err := pipeline.Run(ctx, s.pipelineEnv(e, j), plan)
+	env := s.pipelineEnv(e)
+	env.Events = j.publish
+	single := j.kind != api.JobKindPipeline
+	if single {
+		env.Events = func(ev api.JobEvent) {
+			if ev.Type == api.EventProgress {
+				ev.Stage = ""
+				j.publish(ev)
+			}
+		}
+	}
+	res, err := pipeline.Run(ctx, env, plan)
+	// Observed before the job turns terminal, so a client that sees it
+	// finish also sees its duration on /v1/metrics.
+	s.jobs.observe(j.kind, time.Since(start))
 	if err != nil {
+		if inner := errors.Unwrap(err); single && inner != nil {
+			err = inner // the stage is the job: drop the stage prefix
+		}
 		s.jobs.failed.Add(1)
 		j.finish(nil, err, s.jobs.now())
 		span.SetAttr("error", err.Error())
-		span.End()
-		s.logger.WarnContext(ctx, "pipeline job failed", "job", j.id, "graph", e.Name, "error", err.Error())
+		s.logger.WarnContext(ctx, "job failed", "job", j.id, "kind", j.kind, "graph", e.Name, "error", err.Error())
 		return
 	}
 	s.jobs.finished.Add(1)
-	j.finish(res, nil, s.jobs.now())
-	span.End()
+	var out any = res
+	if single {
+		out = res.Stages[0].Result
+	}
+	j.finish(out, nil, s.jobs.now())
 }
 
 // pipelineEnv binds the executor to one graph entry and this server's pool,
-// cache, tracer, metrics and job-event fan-out. Count and profile stages go
-// through the server's own cached paths, so they share cache entries (and
-// flight collapsing) with directly posted count/profile jobs.
-func (s *Server) pipelineEnv(e *Entry, j *job) *pipeline.Env {
+// result memo, tracer and metrics.
+func (s *Server) pipelineEnv(e *Entry) *pipeline.Env {
 	return &pipeline.Env{
 		Graph:      e.Graph,
-		Proj:       e.Projection(),
+		Proj:       func() projection.Projector { return e.Projection() },
 		Name:       e.Name,
-		GraphID:    fmt.Sprintf("%s#%d", e.Name, e.Gen),
+		GraphID:    e.ID(),
 		MaxWorkers: s.cfg.MaxWorkersPerJob,
-		// Stages that leave workers unset get the same default as the count
-		// endpoints: min(GOMAXPROCS, MaxWorkersPerJob).
-		DefaultWorkers: s.clampWorkers(0),
+		// A stage that leaves workers unset gets min(GOMAXPROCS,
+		// MaxWorkersPerJob): the scheduler cannot run more kernel goroutines
+		// than GOMAXPROCS in parallel, so more would only add overhead.
+		DefaultWorkers: min(runtime.GOMAXPROCS(0), s.cfg.MaxWorkersPerJob),
 		Pool:           s.pool,
-		Cache:          &pipelineCache{s: s, e: e},
+		Cache:          s.memo(e),
 		Tracer:         s.tracer,
 		Observe: func(kind string, d time.Duration) {
 			s.mets.pipelineStage.With(kind).Observe(d.Seconds())
 		},
-		Events: j.publish,
-		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
-			return s.countProgress(ctx, e, algo, samples, seed, workers, progress)
+		Kernel: func(stage string, d time.Duration) {
+			s.mets.kernelStage.With(stage).Observe(d.Seconds())
 		},
-		Profile: func(ctx context.Context, randomizations int, seed int64, workers int) (cp.Profile, bool, error) {
-			return s.profile(ctx, e, randomizations, seed, workers)
+		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
+			return s.runCount(ctx, e, algo, samples, seed, workers, progress)
 		},
 	}
 }
 
-// pipelineCache adapts the server's partitioned result cache to the
-// executor's Cache interface: writes go through putIfCurrent so a stage
-// finishing after its graph was replaced cannot re-insert a dead generation's
-// entry, and ensemble-based results take the sampling TTL.
-type pipelineCache struct {
-	s *Server
-	e *Entry
-}
-
-func (c *pipelineCache) Get(key string) (any, bool) { return c.s.cache.Get(key) }
-
-func (c *pipelineCache) Put(key string, v any, randomized bool, cost time.Duration) {
-	ttl := time.Duration(0)
-	if randomized {
-		ttl = c.s.samplingTTL()
+// memo is the Cache hook of every stage run on e. It serves a key from the
+// result cache; on a miss it runs compute once among concurrent callers of
+// the same key. That computation is detached from the job that started it:
+// one client going away must neither fail the collapsed waiters nor waste a
+// result every later query would reuse. It runs under the server's lifetime
+// context (keeping the leader's trace identity), so Close cancels it. The
+// result is cached only while e is still its graph's current generation,
+// weighted by compute's post-admission cost; estimates and ensembles also
+// take the sampling TTL. Only the leader of a collapsed flight observes
+// progress.
+func (s *Server) memo(e *Entry) pipeline.Cache {
+	return func(ctx context.Context, key string, randomized bool, compute func(context.Context) (any, time.Duration, error)) (any, bool, error) {
+		if v, ok := s.cache.Get(key); ok {
+			return v, true, nil
+		}
+		dctx := obs.InheritTrace(s.baseCtx, ctx)
+		v, err, shared := s.flight.Do(key, func() (any, error) {
+			v, cost, err := compute(dctx)
+			if err != nil {
+				return nil, err
+			}
+			ttl := time.Duration(0)
+			if randomized {
+				ttl = s.samplingTTL()
+			}
+			cw0 := time.Now()
+			s.putIfCurrent(e, key, v, ttl, cost)
+			s.tracer.RecordSpan(dctx, "cache.write", cw0, time.Now())
+			return v, nil
+		})
+		return v, shared, err
 	}
-	c.s.putIfCurrent(c.e, key, v, ttl, cost)
 }

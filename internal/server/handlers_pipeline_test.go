@@ -37,23 +37,14 @@ func startPipeline(t *testing.T, baseURL, graph string, stages ...api.PipelineSt
 
 func waitPipelineJob(t *testing.T, baseURL, id string) api.PipelineResult {
 	t.Helper()
-	var out api.PipelineResult
-	testutil.Eventually(t, 30*time.Second, func() bool {
-		resp, body := getJSON(t, baseURL+"/v1/jobs/"+id)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll: HTTP %d", resp.StatusCode)
-		}
-		switch st := field[string](t, body, "state"); st {
-		case "done":
-			if err := json.Unmarshal(body["result"], &out); err != nil {
-				t.Fatalf("decode pipeline result: %v", err)
-			}
-			return true
-		case "failed":
-			t.Fatalf("pipeline job failed: %s", body["error"])
-		}
-		return false
-	}, "pipeline job %s did not finish", id)
+	j := waitJob(t, baseURL, id)
+	if j.State != api.JobDone {
+		t.Fatalf("pipeline job failed: %s", j.Error)
+	}
+	out, err := j.PipelineResult()
+	if err != nil {
+		t.Fatalf("decode pipeline result: %v", err)
+	}
 	return out
 }
 

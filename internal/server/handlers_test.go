@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
 	"mochy/internal/nullmodel"
+	"mochy/internal/pipeline"
 	"mochy/internal/projection"
 	"mochy/internal/testutil"
 )
@@ -124,6 +126,39 @@ func runJob(t *testing.T, url string, body any) (*http.Response, map[string]json
 			t.Fatalf("job %s failed: %s", field[string](t, job, "id"), e.Error)
 		}
 	}
+}
+
+// runStage runs params as a one-stage plan of kind on e through the server's
+// memo, the way a count or profile job does, and reports whether the stage
+// was served from the cache.
+func runStage(s *Server, e *Entry, kind string, params any) (cached bool, err error) {
+	plan, err := pipeline.One(kind, params)
+	if err != nil {
+		return false, err
+	}
+	res, err := pipeline.Run(context.Background(), s.pipelineEnv(e), plan)
+	if err != nil {
+		return false, err
+	}
+	return res.Stages[0].Cached, nil
+}
+
+// waitJob polls job id until it is terminal and returns its resource.
+func waitJob(t *testing.T, baseURL, id string) api.Job {
+	t.Helper()
+	var j api.Job
+	testutil.Eventually(t, 30*time.Second, func() bool {
+		resp, err := http.Get(baseURL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+			t.Fatal(err)
+		}
+		return j.Terminal()
+	}, "job %s did not finish", id)
+	return j
 }
 
 func benchGraph(seed int64) *hypergraph.Hypergraph {
@@ -507,6 +542,155 @@ func TestProfileMatchesLibrary(t *testing.T) {
 		map[string]any{"algorithm": "exact", "workers": workers})
 	if !field[bool](t, count, "cached") {
 		t.Fatal("profile did not seed the exact-count cache")
+	}
+}
+
+// TestProfileValidation: a profile request is checked like a pipeline
+// profile stage. Every randomized copy costs one full exact count, so the
+// ensemble size is capped.
+func TestProfileValidation(t *testing.T) {
+	ts, _ := newTestServer(t)
+	loadGraph(t, ts.URL, "g", benchGraph(12))
+	for _, n := range []int{-1, 65} {
+		resp, body := postJSON(t, ts.URL+"/v1/graphs/g/profile", map[string]any{"randomizations": n})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("randomizations %d: HTTP %d, want 400", n, resp.StatusCode)
+		}
+		if msg := field[string](t, body, "error"); !strings.Contains(msg, "randomizations must be in [1, 64]") {
+			t.Fatalf("randomizations %d: error %q does not name the range", n, msg)
+		}
+	}
+	resp, _ := postJSON(t, ts.URL+"/v1/graphs/missing/profile", map[string]any{})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown graph: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestProfileOfEdgelessGraph: a graph without hyperedges registers fine but
+// gives a null model nothing to randomize. Its profile job must fail, not
+// panic in the job goroutine and take the daemon down with it.
+func TestProfileOfEdgelessGraph(t *testing.T) {
+	ts, _ := newTestServer(t)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/text", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", api.ContentTypeText)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("empty text upload: HTTP %d, want 201", resp.StatusCode)
+	}
+	if resp, _ := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/json", map[string]any{"edges": [][]int32{}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("empty edges upload: HTTP %d, want 201", resp.StatusCode)
+	}
+
+	for _, name := range []string{"text", "json"} {
+		resp, job := postJSON(t, ts.URL+"/v1/graphs/"+name+"/profile", map[string]any{"randomizations": 2})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d, want 202", name, resp.StatusCode)
+		}
+		j := waitJob(t, ts.URL, field[string](t, job, "id"))
+		if j.State != api.JobFailed || !strings.Contains(j.Error, "no incidences") {
+			t.Fatalf("%s: job %s (%q), want failed with no incidences", name, j.State, j.Error)
+		}
+	}
+	if resp, _ := getJSON(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the failed profiles: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestProfileCollapsesConcurrentJobs: four identical cold profile jobs run
+// one ensemble, and a later pipeline null_model stage with the same
+// randomizations and seed is served that ensemble's cache entry. The traced
+// leader records its job, stage and kernel spans.
+func TestProfileCollapsesConcurrentJobs(t *testing.T) {
+	ts, s := newTestServer(t)
+	loadGraph(t, ts.URL, "g", benchGraph(13))
+	e, _ := s.registry.Get("g")
+	ensembles := s.mets.kernelStage.With("null-model")
+	before := ensembles.Count()
+
+	// Hold every pool slot so the first job parks at admission as the
+	// leader of both the null_model and the exact-count flights, and the
+	// others join its null_model flight.
+	for i := 0; i < s.pool.Capacity(); i++ {
+		if err := s.pool.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := s.pool.Capacity()
+	defer func() {
+		for ; held > 0; held-- {
+			s.pool.Release()
+		}
+	}()
+	body := `{"randomizations": 2, "seed": 9, "workers": 2}`
+	trace := client.NewTraceID()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/graphs/g/profile", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(api.TraceHeader, trace)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{field[string](t, decodeBody(t, resp), "id")}
+	testutil.Eventually(t, 5*time.Second, func() bool { return s.pool.Waiting() == 1 }, "leader never queued for a pool slot")
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/profile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, field[string](t, decodeBody(t, resp), "id"))
+	}
+	key := pipeline.Key(e.ID(), api.StageNullModel, "m=chung-lu|n=2|seed=9|spi=0")
+	testutil.Eventually(t, 5*time.Second, func() bool { return s.flight.waiting(key) == 3 }, "jobs never joined the leader's flight")
+	for ; held > 0; held-- {
+		s.pool.Release()
+	}
+
+	var profile []float64
+	for _, id := range ids {
+		j := waitJob(t, ts.URL, id)
+		res, err := j.ProfileResult()
+		if j.State != api.JobDone || err != nil {
+			t.Fatalf("job %s: %s %q (%v)", id, j.State, j.Error, err)
+		}
+		if profile == nil {
+			profile = res.Profile
+		} else if !reflect.DeepEqual(res.Profile, profile) {
+			t.Fatalf("collapsed profiles differ: %v vs %v", res.Profile, profile)
+		}
+	}
+	if n := ensembles.Count() - before; n != 1 {
+		t.Fatalf("four identical profiles ran %d ensembles, want 1", n)
+	}
+
+	id, _ := startPipeline(t, ts.URL, "g", pipelineStage("sig", "null_model", `{"randomizations": 2, "seed": 9}`))
+	res := waitPipelineJob(t, ts.URL, id)
+	sig, err := res.Stages[0].SignificanceResult()
+	if err != nil || !res.Stages[0].Cached || !reflect.DeepEqual(sig.Profile, profile) {
+		t.Fatalf("null_model stage = cached %v, profile %v (%v); want the profiles' cached ensemble %v", res.Stages[0].Cached, sig.Profile, err, profile)
+	}
+
+	spans := map[string]bool{}
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		for _, sp := range s.tracer.Snapshot() {
+			if sp.TraceID == trace {
+				spans[sp.Name] = true
+			}
+		}
+		return spans["job.profile"]
+	}, "job.profile span never recorded")
+	for _, name := range []string{"stage.profile", "kernel.null-model", "kernel.exact"} {
+		if !spans[name] {
+			t.Errorf("traced profile job lacks a %s span (got %v)", name, spans)
+		}
 	}
 }
 

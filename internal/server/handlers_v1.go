@@ -1,17 +1,15 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"mime"
 	"net/http"
 	"strings"
-	"time"
 
 	"mochy/api"
 	"mochy/internal/hypergraph"
-	"mochy/internal/obs"
+	"mochy/internal/pipeline"
 )
 
 // contentType extracts the media type of a request body, defaulting to
@@ -127,125 +125,38 @@ func (s *Server) handleDownloadGraph(w http.ResponseWriter, r *http.Request, p p
 	}
 }
 
-// handleStartCount serves POST /v1/graphs/{name}/count: it validates the
-// request, applies backpressure, and answers 202 with a job resource whose
-// progress streams from /v1/jobs/{id}/events.
+// handleStartCount serves POST /v1/graphs/{name}/count as a one-stage count
+// plan (see startStage).
 func (s *Server) handleStartCount(w http.ResponseWriter, r *http.Request, p params) {
-	e, ok := s.registry.Get(p["name"])
+	s.startStage(w, r, p["name"], api.StageCount, &api.CountRequest{})
+}
+
+// handleStartProfile serves POST /v1/graphs/{name}/profile as a one-stage
+// profile plan (see startStage).
+func (s *Server) handleStartProfile(w http.ResponseWriter, r *http.Request, p params) {
+	s.startStage(w, r, p["name"], api.StageProfile, &api.ProfileRequest{})
+}
+
+// startStage starts a v1 count or profile job: it decodes the body into
+// params, leniently (unknown fields are ignored), validates it with the
+// pipeline's checks for that stage kind, and starts the one-stage plan as a
+// job of the same kind, whose progress streams from /v1/jobs/{id}/events.
+func (s *Server) startStage(w http.ResponseWriter, r *http.Request, name, kind string, params any) {
+	e, ok := s.registry.Get(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, "graph %q not found", p["name"])
+		writeError(w, http.StatusNotFound, "graph %q not found", name)
 		return
 	}
-	var req api.CountRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(params); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
-	if err := validateCount(&req); err != nil {
+	plan, err := pipeline.One(kind, params)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.overBudget() {
-		s.writeBackpressure(w)
-		return
-	}
-	workers := s.clampWorkers(req.Workers)
-	j := s.jobs.create(api.JobKindCount, e.Name, obs.TraceID(r.Context()))
-	// Jobs outlive the request that starts them (the 202 returns now), so
-	// they run under the server's lifetime context, not r.Context() — but
-	// they inherit the request's trace identity, so the job's spans and
-	// logs join the trace that started it.
-	go s.runCountJob(obs.InheritTrace(s.baseCtx, r.Context()), j, e, req.Algorithm, req.Samples, req.Seed, workers)
-	s.writeJob(w, http.StatusAccepted, j)
-}
-
-// runCountJob executes one asynchronous count, publishing ~1%-granularity
-// progress events for exact counts and finishing the job with a CountResult
-// or an error.
-func (s *Server) runCountJob(ctx context.Context, j *job, e *Entry, algo string, samples int, seed int64, workers int) {
-	start := time.Now()
-	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
-	ctx, span := s.tracer.StartSpan(ctx, "job.count")
-	span.SetAttr("job", j.id)
-	span.SetAttr("graph", e.Name)
-	span.SetAttr("algorithm", algo)
-	j.setRunning(s.jobs.now())
-	var progress func(done, total int)
-	if algo == algoExact {
-		progress = throttledProgress(e.Graph.NumEdges(), j.progress)
-	}
-	c, cached, err := s.countProgress(ctx, e, algo, samples, seed, workers, progress)
-	if err != nil {
-		s.jobs.failed.Add(1)
-		j.finish(nil, err, s.jobs.now())
-		span.SetAttr("error", err.Error())
-		span.End()
-		s.logger.WarnContext(ctx, "count job failed", "job", j.id, "graph", e.Name, "algorithm", algo, "error", err.Error())
-		return
-	}
-	s.jobs.finished.Add(1)
-	j.finish(toCountResult(e.Name, algo, c, cached, time.Since(start)), nil, s.jobs.now())
-	span.SetAttr("cached", boolLabel(cached))
-	span.End()
-}
-
-// handleStartProfile serves POST /v1/graphs/{name}/profile as a job.
-func (s *Server) handleStartProfile(w http.ResponseWriter, r *http.Request, p params) {
-	e, ok := s.registry.Get(p["name"])
-	if !ok {
-		writeError(w, http.StatusNotFound, "graph %q not found", p["name"])
-		return
-	}
-	var req api.ProfileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if req.Randomizations == 0 {
-		req.Randomizations = 3
-	}
-	if req.Randomizations < 1 {
-		writeError(w, http.StatusBadRequest, "randomizations must be positive")
-		return
-	}
-	if s.overBudget() {
-		s.writeBackpressure(w)
-		return
-	}
-	workers := s.clampWorkers(req.Workers)
-	j := s.jobs.create(api.JobKindProfile, e.Name, obs.TraceID(r.Context()))
-	go s.runProfileJob(obs.InheritTrace(s.baseCtx, r.Context()), j, e, req.Randomizations, req.Seed, workers)
-	s.writeJob(w, http.StatusAccepted, j)
-}
-
-// runProfileJob executes one asynchronous characteristic profile.
-func (s *Server) runProfileJob(ctx context.Context, j *job, e *Entry, randomizations int, seed int64, workers int) {
-	start := time.Now()
-	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
-	ctx, span := s.tracer.StartSpan(ctx, "job.profile")
-	span.SetAttr("job", j.id)
-	span.SetAttr("graph", e.Name)
-	j.setRunning(s.jobs.now())
-	prof, cached, err := s.profile(ctx, e, randomizations, seed, workers)
-	if err != nil {
-		s.jobs.failed.Add(1)
-		j.finish(nil, err, s.jobs.now())
-		span.SetAttr("error", err.Error())
-		span.End()
-		s.logger.WarnContext(ctx, "profile job failed", "job", j.id, "graph", e.Name, "error", err.Error())
-		return
-	}
-	s.jobs.finished.Add(1)
-	defer span.End()
-	j.finish(api.ProfileResult{
-		Graph:          e.Name,
-		Randomizations: randomizations,
-		Seed:           seed,
-		Profile:        prof[:],
-		Norm:           prof.Norm(),
-		Cached:         cached,
-		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-	}, nil, s.jobs.now())
+	s.startJob(w, r, e, kind, plan)
 }
 
 // writeJob renders a job resource with its canonical Location.
@@ -329,11 +240,4 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, p param
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ params) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.mets.reg.WriteProm(w)
-}
-
-func boolLabel(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

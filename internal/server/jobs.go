@@ -22,7 +22,7 @@ const (
 	jobMaxFinished = 1024
 )
 
-// job is one asynchronous counting or profiling job. The v1 API hands out
+// job is one asynchronous count, profile or pipeline job. The v1 API hands out
 // its ID from POST /v1/graphs/{name}/count|profile|pipeline, serves its
 // state from GET /v1/jobs/{id}, and streams its progress from
 // GET /v1/jobs/{id}/events.
@@ -82,27 +82,11 @@ func (j *job) setRunning(now time.Time) {
 	j.mu.Unlock()
 }
 
-// progress records enumeration progress and fans it out to every events
-// subscriber. Slow subscribers drop progress events rather than stall the
-// counting job; the terminal event is never delivered this way (see the
-// doneCh path in the events handler).
-func (j *job) progress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	ev := api.JobEvent{Type: api.EventProgress, Done: done, Total: total, Trace: j.trace}
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	j.mu.Unlock()
-}
-
-// publish fans a non-terminal event (pipeline stage lifecycle, stage-stamped
-// progress) out to every events subscriber, stamped with the job's trace id.
-// Like progress, slow subscribers drop events rather than stall the job; the
-// terminal event never travels this path.
+// publish records progress and fans a non-terminal event (progress, pipeline
+// stage lifecycle) out to every events subscriber, stamped with the job's
+// trace id. Slow subscribers drop events rather than stall the job; the
+// terminal event never travels this path (see the doneCh path in the events
+// handler).
 func (j *job) publish(ev api.JobEvent) {
 	j.mu.Lock()
 	if ev.Type == api.EventProgress {

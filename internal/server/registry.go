@@ -8,6 +8,7 @@
 package server
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,13 @@ type Entry struct {
 
 	projOnce sync.Once
 	proj     *projection.Projected
+}
+
+// ID is the entry's cache identity "name#generation": every cached result of
+// the entry is keyed under it, so a re-upload never serves the replaced
+// graph's results.
+func (e *Entry) ID() string {
+	return e.Name + "#" + strconv.FormatUint(e.Gen, 10)
 }
 
 // Projection returns the materialized projected graph of the entry, building

@@ -56,8 +56,8 @@ func TestRegistryReplaceBumpsGeneration(t *testing.T) {
 	}
 	// Cache keys embed the generation, so a replaced graph can never be
 	// served a stale cached result.
-	k1 := countKey(e1, algoExact, 0, 0)
-	k2 := countKey(e2, algoExact, 0, 0)
+	k1 := exactKey(e1)
+	k2 := exactKey(e2)
 	if k1 == k2 {
 		t.Fatalf("cache keys collide across generations: %q", k1)
 	}

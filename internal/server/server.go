@@ -12,9 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"mochy/internal/cp"
+	"mochy/api"
 	counting "mochy/internal/mochy"
-	"mochy/internal/nullmodel"
 	"mochy/internal/obs"
 	"mochy/internal/pipeline"
 	"mochy/internal/server/live"
@@ -44,9 +43,9 @@ type Config struct {
 	// MaxWorkersPerJob caps the per-request workers parameter.
 	// 0 selects GOMAXPROCS.
 	MaxWorkersPerJob int
-	// SamplingTTL bounds how long sampling-based results (edge-sample and
-	// wedge-sample counts, characteristic profiles) stay cached: they are
-	// cheap to recompute, so they should age out instead of pinning LRU
+	// SamplingTTL bounds how long randomized results (edge-sample and
+	// wedge-sample counts, null-model ensembles and the profiles projected
+	// from them) stay cached: they should age out instead of pinning LRU
 	// capacity that exact results need. 0 selects the default; negative
 	// stores them without expiry. Exact counts never expire.
 	SamplingTTL time.Duration
@@ -311,7 +310,7 @@ func (s *Server) Recover() (store.RecoveryStats, error) {
 		if rg.Counts != nil {
 			// The persisted exact count seeds the cache exactly like a
 			// snapshot would: high eviction cost, no expiry.
-			s.cache.PutCost(countKey(e, algoExact, 0, 0), *rg.Counts, 0, snapshotSeedCost)
+			s.cache.PutCost(exactKey(e), *rg.Counts, 0, snapshotSeedCost)
 		}
 	}
 	for _, rl := range rec.Live {
@@ -402,54 +401,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.router.ServeHTTP(w, r)
 }
 
-// clampWorkers resolves a request's workers parameter to [1,
-// MaxWorkersPerJob]. A request that leaves workers unset (0 or negative)
-// gets min(GOMAXPROCS, MaxWorkersPerJob): the scheduler cannot run more
-// kernel goroutines than GOMAXPROCS in parallel, so defaulting to an
-// administratively raised MaxWorkersPerJob would only add scheduling
-// overhead, not speed.
-func (s *Server) clampWorkers(workers int) int {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s.cfg.MaxWorkersPerJob {
-		workers = s.cfg.MaxWorkersPerJob
-	}
-	return workers
-}
-
-// countKey encodes everything a count result depends on. Every algorithm is
-// worker-independent (sampling draws one RNG stream per sample block, not
-// per worker), so the worker count never joins the key.
-func countKey(e *Entry, algo string, samples int, seed int64) string {
-	if algo == algoExact {
-		return fmt.Sprintf("count|%s#%d|%s", e.Name, e.Gen, algo)
-	}
-	return fmt.Sprintf("count|%s#%d|%s|s=%d|seed=%d", e.Name, e.Gen, algo, samples, seed)
-}
-
-// profileKey encodes everything a characteristic profile depends on.
-func profileKey(e *Entry, randomizations int, seed int64) string {
-	return fmt.Sprintf("profile|%s#%d|n=%d|seed=%d", e.Name, e.Gen, randomizations, seed)
+// exactKey is the cache key of e's exact counts: the pipeline count stage's
+// entry, which snapshots and recovery seed.
+func exactKey(e *Entry) string {
+	return pipeline.Key(e.ID(), api.StageCount, api.AlgoExact)
 }
 
 // graphKeyGen extracts the generation from a cache key belonging to graph
-// name, reporting false for keys of other graphs. Key layout is
-// "count|<name>#<gen>|..." / "profile|<name>#<gen>|..." /
-// "pipe|<name>#<gen>|...": requiring the segment after name+"#" to be pure
-// digits keeps a graph named "a" from matching keys of a graph named "a#1".
+// name, reporting false for keys of other graphs. Every key is
+// "<name>#<gen>|<kind>|<params>" (pipeline.Key): requiring the segment after
+// name+"#" to be pure digits keeps a graph named "a" from matching keys of a
+// graph named "a#1".
 func graphKeyGen(key, name string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(key, "count|")
-	if !ok {
-		rest, ok = strings.CutPrefix(key, "profile|")
-	}
-	if !ok {
-		rest, ok = strings.CutPrefix(key, "pipe|")
-	}
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutPrefix(rest, name+"#")
+	rest, ok := strings.CutPrefix(key, name+"#")
 	if !ok {
 		return 0, false
 	}
@@ -517,20 +481,11 @@ const (
 	algoWedge = "wedge-sample"
 )
 
-// runCount executes one counting job under the pool, optionally reporting
-// exact-count progress. It does not consult the cache; callers wrap it.
-// cost is the pure compute time, measured after pool admission — queue wait
-// must not inflate an entry's eviction weight, or a cheap estimate that
-// queued behind a saturated pool would outrank a genuinely expensive exact
-// count.
-func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (c counting.Counts, cost time.Duration, err error) {
-	wait0 := time.Now()
-	if err := s.pool.Acquire(ctx); err != nil {
-		s.tracer.RecordSpan(ctx, "pool.wait", wait0, time.Now(), obs.Attr{Key: "error", Value: err.Error()})
-		return counting.Counts{}, 0, err
-	}
-	s.tracer.RecordSpan(ctx, "pool.wait", wait0, time.Now())
-	defer s.pool.Release()
+// runCount runs one count kernel on e: the pipeline's count hook, called
+// under a pool slot with caching left to the memo. It records the kernel
+// spans and metrics, and persists a fresh exact count next to the graph's
+// segment.
+func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (c counting.Counts, err error) {
 	t0 := time.Now()
 	p := e.Projection()
 	kctx, kspan := s.tracer.StartSpan(ctx, "kernel."+algo)
@@ -548,18 +503,41 @@ func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples in
 		c, err = counting.CountWedgeSamplesCtx(kctx, e.Graph, p, p, samples, seed, workers)
 	default:
 		kspan.End()
-		return counting.Counts{}, 0, fmt.Errorf("unknown algorithm %q (want %s, %s or %s)", algo, algoExact, algoEdge, algoWedge)
+		return counting.Counts{}, fmt.Errorf("unknown algorithm %q (want %s, %s or %s)", algo, algoExact, algoEdge, algoWedge)
 	}
 	if err != nil {
 		kspan.SetAttr("error", err.Error())
 		kspan.End()
-		return counting.Counts{}, 0, err
+		return counting.Counts{}, err
 	}
-	cost = time.Since(t0)
 	kspan.SetAttr("workers", strconv.Itoa(workers))
 	kspan.End()
-	s.mets.kernelStage.With(algo).Observe(cost.Seconds())
-	return c, cost, nil
+	s.mets.kernelStage.With(algo).Observe(time.Since(t0).Seconds())
+	if algo == algoExact {
+		s.persistCounts(ctx, e, c)
+	}
+	return c, nil
+}
+
+// persistCounts writes a freshly computed exact count next to e's segment,
+// so the next boot seeds the cache instead of recounting — the most
+// expensive thing the server makes. Best-effort: the count itself is
+// already correct, and it is skipped once e is no longer current.
+func (s *Server) persistCounts(ctx context.Context, e *Entry, c counting.Counts) {
+	if s.store == nil {
+		return
+	}
+	if cur, ok := s.registry.Get(e.Name); !ok || cur.Gen != e.Gen {
+		return
+	}
+	p0 := time.Now()
+	if err := s.store.PutCounts(e.Name, e.Gen, c); err != nil {
+		s.persistErrs.Inc()
+		s.logger.WarnContext(ctx, "persist counts failed", "graph", e.Name, "error", err.Error())
+		s.tracer.RecordSpan(ctx, "persist.counts", p0, time.Now(), obs.Attr{Key: "error", Value: err.Error()})
+		return
+	}
+	s.tracer.RecordSpan(ctx, "persist.counts", p0, time.Now())
 }
 
 // recordKernelStats publishes one exact-count kernel run's scheduling stats:
@@ -615,115 +593,4 @@ func (s *Server) stagedProgress(ctx context.Context, inner func(done, total int)
 		}
 		mu.Unlock()
 	}
-}
-
-// countProgress returns the (possibly cached) counts for one query,
-// reporting exact-count progress to the optional callback. Concurrent
-// identical cold queries share a single computation, which is detached from
-// the leader's request context: one client disconnecting must neither fail
-// the collapsed waiters nor waste a result every future query would reuse.
-// The computation runs under the server's lifetime context (keeping the
-// leader's trace identity), so Close cancels an in-flight kernel instead of
-// letting it burn cores into a dead process. Only the leader of a collapsed
-// flight observes progress. The second return reports whether the result was
-// served from cache or shared from another caller's flight.
-func (s *Server) countProgress(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
-	key := countKey(e, algo, samples, seed)
-	if v, ok := s.cache.Get(key); ok {
-		return v.(counting.Counts), true, nil
-	}
-	dctx := obs.InheritTrace(s.baseCtx, ctx)
-	v, err, shared := s.flight.Do(key, func() (any, error) {
-		c, cost, err := s.runCount(dctx, e, algo, samples, seed, workers, progress)
-		if err != nil {
-			return nil, err
-		}
-		// The measured compute time becomes the entry's eviction weight,
-		// and sampling estimates additionally get a bounded lifetime so
-		// they age out instead of crowding exact results.
-		ttl := time.Duration(0)
-		if algo != algoExact {
-			ttl = s.samplingTTL()
-		}
-		cw0 := time.Now()
-		s.putIfCurrent(e, key, c, ttl, cost)
-		s.tracer.RecordSpan(dctx, "cache.write", cw0, time.Now())
-		// A freshly computed exact count is the most expensive thing the
-		// server makes; persist it next to the graph's segment so the next
-		// boot seeds the cache instead of recounting. Best-effort: the
-		// count itself is already correct and cached.
-		if algo == algoExact && s.store != nil {
-			if cur, ok := s.registry.Get(e.Name); ok && cur.Gen == e.Gen {
-				p0 := time.Now()
-				if perr := s.store.PutCounts(e.Name, e.Gen, c); perr != nil {
-					s.persistErrs.Inc()
-					s.logger.WarnContext(dctx, "persist counts failed", "graph", e.Name, "error", perr.Error())
-					s.tracer.RecordSpan(dctx, "persist.counts", p0, time.Now(), obs.Attr{Key: "error", Value: perr.Error()})
-				} else {
-					s.tracer.RecordSpan(dctx, "persist.counts", p0, time.Now())
-				}
-			}
-		}
-		return c, nil
-	})
-	if err != nil {
-		return counting.Counts{}, false, err
-	}
-	return v.(counting.Counts), shared, nil
-}
-
-// count is countProgress without progress reporting.
-func (s *Server) count(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int) (counting.Counts, bool, error) {
-	return s.countProgress(ctx, e, algo, samples, seed, workers, nil)
-}
-
-// profile returns the (possibly cached) characteristic profile of e against
-// randomizations Chung-Lu null copies seeded from seed.
-func (s *Server) profile(ctx context.Context, e *Entry, randomizations int, seed int64, workers int) (cp.Profile, bool, error) {
-	key := profileKey(e, randomizations, seed)
-	if v, ok := s.cache.Get(key); ok {
-		return v.(cp.Profile), true, nil
-	}
-	// Detached for the same reason as count: the computation is shared with
-	// collapsed waiters and its result is cached, so the leader's client
-	// disconnecting must not cancel it — but server Close must.
-	dctx := obs.InheritTrace(s.baseCtx, ctx)
-	v, err, shared := s.flight.Do(key, func() (any, error) {
-		// The real graph's exact counts go through the count cache, so a
-		// prior exact count query (or a second profile with a different
-		// seed) skips the most expensive half of the job.
-		real, _, err := s.count(dctx, e, algoExact, 0, 0, workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.pool.Acquire(dctx); err != nil {
-			return nil, err
-		}
-		defer s.pool.Release()
-		// Cost clock starts after admission: queue wait is not compute.
-		t0 := time.Now()
-		_, kspan := s.tracer.StartSpan(dctx, "kernel.null-model")
-		copies := nullmodel.NewRandomizer(e.Graph).GenerateN(randomizations, seed)
-		// Counting the copies under the detached context lets Close stop
-		// the null-model loop inside a copy's kernel.
-		randomized, err := nullmodel.CountCopies(dctx, copies, workers, nil)
-		if err != nil {
-			kspan.End()
-			return nil, err
-		}
-		prof := cp.Compute(&real, randomized)
-		cost := time.Since(t0)
-		kspan.SetAttr("randomizations", strconv.Itoa(randomizations))
-		kspan.End()
-		s.mets.kernelStage.With("null-model").Observe(cost.Seconds())
-		// Profiles depend on sampled null models, so they take the
-		// sampling TTL like the other randomization-based results; the
-		// measured cost covers the null-model half actually computed here.
-		s.putIfCurrent(e, key, prof, s.samplingTTL(), cost)
-		return prof, nil
-	})
-	if err != nil {
-		return cp.Profile{}, false, err
-	}
-	return v.(cp.Profile), shared, nil
 }

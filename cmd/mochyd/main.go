@@ -36,8 +36,8 @@
 // or adopts an X-Mochy-Trace id, echoes it on the response, stamps it on
 // job events, correlates log lines with it, and records per-request span
 // trees in a fixed ring buffer served by GET /v1/admin/traces.
-// -trace-buffer sizes that ring (0 disables span recording; id propagation
-// stays on).
+// -trace-buffer sizes that ring (0 disables span retention; id propagation
+// and the mochyd_span_duration_seconds histogram stay on).
 //
 // -debug-addr starts a second HTTP listener serving net/http/pprof under
 // /debug/pprof/ for contention and profile diagnosis. It is a separate
@@ -141,7 +141,7 @@ func run() (code int) {
 		ckptWALBytes  = flag.Int64("checkpoint-wal-bytes", 0, "checkpoint a live graph automatically once its WAL exceeds this many bytes (0 = manual checkpoints only; requires -data-dir)")
 		debugAddr     = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = disabled; never exposed on -addr)")
 		logFormat     = flag.String("log-format", obs.LogFormatJSON, "structured log format: json or text")
-		traceBuffer   = flag.Int("trace-buffer", 512, "retained spans in the trace flight recorder (0 disables recording; ids still propagate)")
+		traceBuffer   = flag.Int("trace-buffer", 512, "retained spans in the trace flight recorder (0 disables retention; ids still propagate and spans are still timed)")
 		pipeMaxStages = flag.Int("pipeline-max-stages", 0, "max stages per pipeline plan (0 = default)")
 		loads         loadFlags
 	)

@@ -9,7 +9,7 @@
 //     (request span -> job.count -> stage.count -> pool.wait -> kernel
 //     stages), and
 //  3. the Prometheus exposition on GET /v1/metrics, filtered to the
-//     request/job/kernel families the traffic just moved.
+//     request, job and span-duration families the traffic just moved.
 //
 // Point baseURL at a running `mochyd` to use it against a real daemon;
 // add `-log-format text` there to watch the correlated log lines too.
@@ -84,7 +84,8 @@ func main() {
 				trace = &traces.Traces[t]
 			}
 		}
-		// The job.count span lands a beat after the job turns terminal.
+		// A request span lands when its handler returns, a beat after
+		// the client has read the response.
 		time.Sleep(10 * time.Millisecond)
 	}
 	if trace == nil {
@@ -115,8 +116,7 @@ func main() {
 	for _, line := range strings.Split(body, "\n") {
 		for _, prefix := range []string{
 			"mochyd_jobs_done_total",
-			"mochyd_job_duration_seconds_count",
-			"mochyd_kernel_stage_seconds_count",
+			"mochyd_span_duration_seconds_count",
 			"mochyd_requests_total{route=\"POST /v1/graphs/{name}/count\"",
 			"mochyd_http_responses_total{route=\"POST /v1/graphs/{name}/count\"",
 			"mochyd_trace_spans_total",

@@ -83,6 +83,23 @@ func TestWedgeSamplingWithRejectionSampler(t *testing.T) {
 	}
 }
 
+// TestRejectionSamplerSharedByWorkers: every sampling worker draws from one
+// shared RejectionWedgeSampler, so its efficiency counters must be safe to
+// update concurrently (run under -race) and still read as a rate in (0, 1].
+func TestRejectionSamplerSharedByWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(500))
+	g := randomHypergraph(rng, 15, 25, 4)
+	p := projection.Build(g)
+	sampler := projection.NewRejectionWedgeSampler(g)
+	if !sampler.HasWedges() {
+		t.Skip("degenerate graph")
+	}
+	CountWedgeSamples(g, p, sampler, 2000, 7, 4)
+	if r := sampler.AcceptanceRate(); r <= 0 || r > 1 {
+		t.Fatalf("AcceptanceRate = %f, want in (0, 1]", r)
+	}
+}
+
 func TestApproxDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	g := randomHypergraph(rng, 25, 40, 5)

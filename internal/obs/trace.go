@@ -104,8 +104,9 @@ func (r SpanRecord) Duration() time.Duration { return r.End.Sub(r.Start) }
 // Tracer records finished spans into a fixed-size ring buffer — a flight
 // recorder, not an exporter: the newest N spans are always inspectable
 // at /v1/admin/traces, older ones fall off the end, and nothing is ever
-// sent anywhere. A Tracer built with capacity <= 0 (or a nil *Tracer)
-// records nothing; StartSpan degrades to pure context propagation.
+// sent anywhere. A Tracer built with capacity <= 0 retains nothing; if it
+// does not time spans either (TimeSpans), StartSpan degrades to pure
+// context propagation, as on a nil *Tracer.
 type Tracer struct {
 	seq atomic.Uint64
 
@@ -116,6 +117,9 @@ type Tracer struct {
 
 	// spansTotal, when set, counts recorded spans (mochyd_trace_spans_total).
 	spansTotal *Counter
+	// durations, when set, times every span ended by Span.End or
+	// RecordSpan, by name, whether or not the ring retains it.
+	durations *HistogramVec
 }
 
 // NewTracer returns a tracer retaining the last capacity finished spans.
@@ -134,8 +138,20 @@ func (t *Tracer) CountSpans(c *Counter) {
 	}
 }
 
-// Enabled reports whether t records spans.
-func (t *Tracer) Enabled() bool { return t != nil && len(t.buf) > 0 }
+// TimeSpans makes t observe the duration in seconds of every span ended
+// by Span.End or RecordSpan into h, labelled by span name. Spans recorded
+// by RecordSpanID are not observed: their caller times its own interval.
+func (t *Tracer) TimeSpans(h *HistogramVec) {
+	if t != nil {
+		t.durations = h
+	}
+}
+
+// retains reports whether t keeps spans in its ring.
+func (t *Tracer) retains() bool { return t != nil && len(t.buf) > 0 }
+
+// active reports whether spans are worth building: t retains or times them.
+func (t *Tracer) active() bool { return t != nil && (len(t.buf) > 0 || t.durations != nil) }
 
 // Span is one in-flight operation. A nil *Span (from a disabled tracer or
 // a context without a trace) accepts every method as a no-op, so call
@@ -155,10 +171,10 @@ type Span struct {
 
 // StartSpan opens a span under ctx's trace (and current span, if any),
 // returning a derived context that makes the new span the parent of any
-// spans started beneath it. Without a trace id on ctx, or with recording
-// disabled, it returns ctx unchanged and a nil span.
+// spans started beneath it. Without a trace id on ctx, or on a tracer that
+// neither retains nor times spans, it returns ctx unchanged and a nil span.
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if !t.Enabled() {
+	if !t.active() {
 		return ctx, nil
 	}
 	id := TraceID(ctx)
@@ -186,8 +202,8 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and records it. Safe on a nil span; extra Ends
-// are ignored.
+// End finishes the span, timing and recording it. Safe on a nil span;
+// extra Ends are ignored.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -200,7 +216,7 @@ func (s *Span) End() {
 	s.ended = true
 	attrs := s.attrs
 	s.mu.Unlock()
-	s.t.record(SpanRecord{
+	s.t.finish(SpanRecord{
 		TraceID:  s.traceID,
 		SpanID:   s.id,
 		ParentID: s.parent,
@@ -218,7 +234,7 @@ func (s *Span) End() {
 // of 0 means recording is off (or ctx carries no trace) and ctx comes
 // back unchanged.
 func (t *Tracer) StartID(ctx context.Context) (context.Context, uint64, uint64) {
-	if !t.Enabled() || TraceID(ctx) == "" {
+	if !t.retains() || TraceID(ctx) == "" {
 		return ctx, 0, 0
 	}
 	id := t.seq.Add(1)
@@ -229,7 +245,7 @@ func (t *Tracer) StartID(ctx context.Context) (context.Context, uint64, uint64) 
 // RecordSpanID records an already-measured interval under an identity
 // reserved by StartID. A zero id is a no-op.
 func (t *Tracer) RecordSpanID(ctx context.Context, id, parent uint64, name string, start, end time.Time, attrs ...Attr) {
-	if id == 0 || !t.Enabled() {
+	if id == 0 || !t.retains() {
 		return
 	}
 	t.record(SpanRecord{
@@ -242,18 +258,18 @@ func (t *Tracer) RecordSpanID(ctx context.Context, id, parent uint64, name strin
 	}, attrs)
 }
 
-// RecordSpan records an already-measured interval as a finished span
-// under ctx's trace and current span — for stages whose boundaries are
-// only known after the fact (e.g. kernel progress milestones).
+// RecordSpan times and records an already-measured interval as a finished
+// span under ctx's trace and current span — for stages whose boundaries
+// are only known after the fact (e.g. kernel progress milestones).
 func (t *Tracer) RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ...Attr) {
-	if !t.Enabled() {
+	if !t.active() {
 		return
 	}
 	id := TraceID(ctx)
 	if id == "" {
 		return
 	}
-	t.record(SpanRecord{
+	t.finish(SpanRecord{
 		TraceID:  id,
 		SpanID:   t.seq.Add(1),
 		ParentID: spanID(ctx),
@@ -261,6 +277,17 @@ func (t *Tracer) RecordSpan(ctx context.Context, name string, start, end time.Ti
 		Start:    start,
 		End:      end,
 	}, attrs)
+}
+
+// finish observes a span ended by End or RecordSpan into the duration
+// sink, then records it if the ring is on.
+func (t *Tracer) finish(rec SpanRecord, attrs []Attr) {
+	if t.durations != nil {
+		t.durations.With(rec.Name).Observe(rec.Duration().Seconds())
+	}
+	if t.retains() {
+		t.record(rec, attrs)
+	}
 }
 
 // record appends one finished span to the ring. attrs are COPIED into the

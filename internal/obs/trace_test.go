@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -78,6 +79,57 @@ func TestDisabledTracerIsInert(t *testing.T) {
 		tr.RecordSpan(ctx, "y", time.Now(), time.Now())
 		if got := tr.Snapshot(); len(got) != 0 {
 			t.Fatalf("disabled tracer retained %d spans", len(got))
+		}
+	}
+}
+
+// TestTimeSpans: a tracer with a duration sink times every span ended by
+// End or RecordSpan whatever its ring capacity, retains spans only in a
+// ring, and leaves the intervals RecordSpanID reports (already timed by
+// their caller) out of the sink.
+func TestTimeSpans(t *testing.T) {
+	for _, capacity := range []int{0, 4} {
+		reg := NewRegistry()
+		tr := NewTracer(capacity)
+		tr.TimeSpans(reg.NewHistogramVec("span_seconds", "", []float64{0.1, 1}, "name"))
+		ctx := WithTraceID(context.Background(), "t")
+
+		jctx, job := tr.StartSpan(ctx, "job")
+		if job == nil {
+			t.Fatalf("capacity %d: timed tracer returned no span", capacity)
+		}
+		start := time.Now().Add(-time.Second)
+		tr.RecordSpan(jctx, "stage", start, start.Add(500*time.Millisecond))
+		job.End()
+		rctx, id, parent := tr.StartID(ctx)
+		tr.RecordSpanID(rctx, id, parent, "request", start, start.Add(time.Millisecond))
+
+		var buf strings.Builder
+		if err := reg.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.String()
+		for _, want := range []string{
+			`span_seconds_bucket{name="job",le="0.1"} 1`,
+			`span_seconds_count{name="job"} 1`,
+			`span_seconds_bucket{name="stage",le="0.1"} 0`,
+			`span_seconds_bucket{name="stage",le="1"} 1`,
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("capacity %d: exposition missing %q:\n%s", capacity, want, body)
+			}
+		}
+		if strings.Contains(body, `name="request"`) {
+			t.Errorf("capacity %d: RecordSpanID interval was timed:\n%s", capacity, body)
+		}
+		// The ring keeps job, stage and request; a zero-capacity tracer
+		// keeps nothing.
+		want := 0
+		if capacity > 0 {
+			want = 3
+		}
+		if got := len(tr.Snapshot()); got != want {
+			t.Errorf("capacity %d: retained %d spans, want %d", capacity, got, want)
 		}
 	}
 }

@@ -53,12 +53,6 @@ type Env struct {
 	// so two identical stages of one plan each run.
 	Cache  Cache
 	Tracer *obs.Tracer
-	// Observe records one finished stage's wall-clock duration per stage
-	// kind (mochyd_pipeline_stage_duration_seconds); nil skips.
-	Observe func(kind string, d time.Duration)
-	// Kernel records one null-model ensemble's compute time under the kernel
-	// stage "null-model" (mochyd_kernel_stage_seconds); nil skips.
-	Kernel func(stage string, d time.Duration)
 	// Events receives stage lifecycle and progress events; nil skips.
 	Events func(ev api.JobEvent)
 
@@ -171,9 +165,6 @@ func Run(ctx context.Context, env *Env, plan *Plan) (api.PipelineResult, error) 
 		t0 := time.Now()
 		payload, counts, cached, err := runStage(sctx, env, st, exact)
 		elapsed := time.Since(t0)
-		if env.Observe != nil {
-			env.Observe(st.Kind, elapsed)
-		}
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			span.End()

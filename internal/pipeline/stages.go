@@ -99,16 +99,12 @@ func runNullModel(ctx context.Context, env *Env, st *Stage, p *api.NullModelPara
 		if err != nil {
 			return api.SignificanceResult{}, 0, err
 		}
-		res, cost, err := admit(ctx, env, func() (api.SignificanceResult, error) {
+		return admit(ctx, env, func() (api.SignificanceResult, error) {
 			kctx, span := env.Tracer.StartSpan(ctx, "kernel.null-model")
 			defer span.End()
 			span.SetAttr("randomizations", strconv.Itoa(p.Randomizations))
 			return significance(kctx, env, st, p, real)
 		})
-		if err == nil && env.Kernel != nil {
-			env.Kernel("null-model", cost)
-		}
-		return res, cost, err
 	})
 	res.Cached = cached
 	return res, cached, err

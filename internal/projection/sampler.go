@@ -3,6 +3,7 @@ package projection
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"mochy/internal/hypergraph"
 )
@@ -34,9 +35,10 @@ type RejectionWedgeSampler struct {
 	// prefix[v+1] - prefix[v] = C(degree(v), 2).
 	prefix []int64
 	total  int64
-	// proposals and accepts record rejection-sampling efficiency.
-	proposals int64
-	accepts   int64
+	// proposals and accepts record rejection-sampling efficiency. They are
+	// atomic because parallel samplers share one RejectionWedgeSampler.
+	proposals atomic.Int64
+	accepts   atomic.Int64
 }
 
 // NewRejectionWedgeSampler prepares per-node pair-count prefix sums in
@@ -61,7 +63,7 @@ func (s *RejectionWedgeSampler) SampleWedge(rng *rand.Rand) (int32, int32) {
 		panic("projection: SampleWedge on hypergraph without wedges")
 	}
 	for {
-		s.proposals++
+		s.proposals.Add(1)
 		r := rng.Int63n(s.total)
 		v := sort.Search(s.g.NumNodes(), func(v int) bool { return s.prefix[v+1] > r })
 		edges := s.g.IncidentEdges(int32(v))
@@ -74,7 +76,7 @@ func (s *RejectionWedgeSampler) SampleWedge(rng *rand.Rand) (int32, int32) {
 		w := s.g.IntersectionSize(int(i), int(j))
 		// w >= 1 because both edges contain v.
 		if w == 1 || rng.Float64() < 1/float64(w) {
-			s.accepts++
+			s.accepts.Add(1)
 			if i > j {
 				i, j = j, i
 			}
@@ -85,8 +87,9 @@ func (s *RejectionWedgeSampler) SampleWedge(rng *rand.Rand) (int32, int32) {
 
 // AcceptanceRate returns accepts/proposals so far (1 if nothing sampled).
 func (s *RejectionWedgeSampler) AcceptanceRate() float64 {
-	if s.proposals == 0 {
+	proposals := s.proposals.Load()
+	if proposals == 0 {
 		return 1
 	}
-	return float64(s.accepts) / float64(s.proposals)
+	return float64(s.accepts.Load()) / float64(proposals)
 }

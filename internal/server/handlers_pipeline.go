@@ -62,9 +62,7 @@ func (s *Server) startJob(w http.ResponseWriter, r *http.Request, e *Entry, kind
 // stage's progress events, without the stage stamp, and finishes with the
 // stage's payload alone, so its event stream stays progress-then-result.
 func (s *Server) runJob(ctx context.Context, j *job, e *Entry, plan *pipeline.Plan) {
-	start := time.Now()
 	ctx, span := s.tracer.StartSpan(ctx, "job."+j.kind)
-	defer span.End()
 	span.SetAttr("job", j.id)
 	span.SetAttr("graph", e.Name)
 	span.SetAttr("stages", strconv.Itoa(len(plan.Stages)))
@@ -81,29 +79,28 @@ func (s *Server) runJob(ctx context.Context, j *job, e *Entry, plan *pipeline.Pl
 		}
 	}
 	res, err := pipeline.Run(ctx, env, plan)
-	// Observed before the job turns terminal, so a client that sees it
-	// finish also sees its duration on /v1/metrics.
-	s.jobs.observe(j.kind, time.Since(start))
+	var out any = res
 	if err != nil {
 		if inner := errors.Unwrap(err); single && inner != nil {
 			err = inner // the stage is the job: drop the stage prefix
 		}
 		s.jobs.failed.Add(1)
-		j.finish(nil, err, s.jobs.now())
 		span.SetAttr("error", err.Error())
 		s.logger.WarnContext(ctx, "job failed", "job", j.id, "kind", j.kind, "graph", e.Name, "error", err.Error())
-		return
+	} else {
+		s.jobs.finished.Add(1)
+		if single {
+			out = res.Stages[0].Result
+		}
 	}
-	s.jobs.finished.Add(1)
-	var out any = res
-	if single {
-		out = res.Stages[0].Result
-	}
-	j.finish(out, nil, s.jobs.now())
+	// Ended before the job turns terminal, so a client that sees it finish
+	// also sees its job.<kind> duration on /v1/metrics.
+	span.End()
+	j.finish(out, err, s.jobs.now())
 }
 
 // pipelineEnv binds the executor to one graph entry and this server's pool,
-// result memo, tracer and metrics.
+// result memo and tracer.
 func (s *Server) pipelineEnv(e *Entry) *pipeline.Env {
 	return &pipeline.Env{
 		Graph:      e.Graph,
@@ -118,12 +115,6 @@ func (s *Server) pipelineEnv(e *Entry) *pipeline.Env {
 		Pool:           s.pool,
 		Cache:          s.memo(e),
 		Tracer:         s.tracer,
-		Observe: func(kind string, d time.Duration) {
-			s.mets.pipelineStage.With(kind).Observe(d.Seconds())
-		},
-		Kernel: func(stage string, d time.Duration) {
-			s.mets.kernelStage.With(stage).Observe(d.Seconds())
-		},
 		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
 			return s.runCount(ctx, e, algo, samples, seed, workers, progress)
 		},

@@ -236,7 +236,7 @@ func TestPipelineJobEndToEnd(t *testing.T) {
 		t.Fatalf("rank payload = %+v (%v)", rank, err)
 	}
 
-	// The stage-duration histogram saw all three stage kinds.
+	// The span-duration histogram saw all three stage kinds.
 	metResp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestPipelineJobEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"count", "null_model", "rank"} {
-		marker := `mochyd_pipeline_stage_duration_seconds_count{stage="` + kind + `"}`
+		marker := `mochyd_span_duration_seconds_count{name="stage.` + kind + `"}`
 		if !strings.Contains(string(met), marker) {
 			t.Errorf("metrics exposition missing %s", marker)
 		}

@@ -611,7 +611,7 @@ func TestProfileCollapsesConcurrentJobs(t *testing.T) {
 	ts, s := newTestServer(t)
 	loadGraph(t, ts.URL, "g", benchGraph(13))
 	e, _ := s.registry.Get("g")
-	ensembles := s.mets.kernelStage.With("null-model")
+	ensembles := s.mets.spanDuration.With("kernel.null-model")
 	before := ensembles.Count()
 
 	// Hold every pool slot so the first job parks at admission as the

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mochy/api"
-	"mochy/internal/obs"
 	"mochy/internal/shardmap"
 )
 
@@ -163,11 +162,6 @@ type jobStore struct {
 	nowMu sync.Mutex
 	nowFn func() time.Time // injectable clock for retention tests
 
-	// durations is the per-kind job latency histogram
-	// (mochyd_job_duration_seconds); nil in bare test stores built without a
-	// server's metrics registry.
-	durations *obs.HistogramVec
-
 	pruneMu   sync.Mutex   // one pruner at a time; creation never waits on one
 	lastPrune atomic.Int64 // unix nanos of the last prune scan (store clock)
 
@@ -195,15 +189,6 @@ func (st *jobStore) setNow(fn func() time.Time) {
 	st.nowMu.Lock()
 	st.nowFn = fn
 	st.nowMu.Unlock()
-}
-
-// observe records a finished job's wall-clock duration in its kind's
-// latency histogram (surfaced as mochyd_job_duration_seconds on
-// /v1/metrics).
-func (st *jobStore) observe(kind string, d time.Duration) {
-	if st.durations != nil {
-		st.durations.With(kind).Observe(d.Seconds())
-	}
 }
 
 // create registers a new queued job, stamped with the creating request's

@@ -6,29 +6,27 @@ import (
 	"strconv"
 	"time"
 
-	"mochy/api"
 	"mochy/internal/obs"
 )
 
-// Histogram bucket bounds, all in seconds.
-var (
-	// jobDurationBounds covers sub-millisecond cache hits through
-	// multi-minute exact counts on paper-scale graphs.
-	jobDurationBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 60, 300}
-	// kernelStageBounds covers pure compute time per counting kernel run.
-	kernelStageBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 60, 300}
-	// requestDurationBounds covers HTTP handler latency: most requests are
-	// registry/cache reads in the microseconds, the tail is sync counts.
-	requestDurationBounds = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
-)
+// durationBounds is the bucket layout of both duration histograms, spans
+// and HTTP requests, in seconds: log-spaced 1-2-5 steps from 10 µs (a
+// cached read, an uncontended pool wait) up to a 300 s cap (an exact count
+// or a null-model ensemble on a paper-scale graph).
+var durationBounds = []float64{
+	1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
+	0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
+	1, 2, 5, 10, 20, 50, 100, 200, 300,
+}
 
 // serverMetrics is every metric family mochyd exposes on /v1/metrics, all
-// owned by one obs.Registry. Hot-path instruments (request counters, job
-// duration histograms, kernel timings) are incremented natively at the call
-// site; point-in-time gauges and counters owned by other subsystems (cache,
-// pool, store) are refreshed once per scrape by the collect hook, so one
-// scrape costs one Stats() sweep per subsystem, exactly like the old
-// hand-rolled exposition.
+// owned by one obs.Registry. Hot-path instruments (request counters and
+// latencies, kernel scheduler stats) are incremented natively at the call
+// site, and the tracer observes every span it ends into spanDuration;
+// point-in-time gauges and counters owned by other subsystems (cache, pool,
+// store) are refreshed once per scrape by the collect hook, so one scrape
+// costs one Stats() sweep per subsystem, exactly like the old hand-rolled
+// exposition.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -67,13 +65,10 @@ type serverMetrics struct {
 	poolCapacity *obs.Gauge
 	queueDepth   *obs.Gauge
 
-	jobsInflight  *obs.Gauge
-	jobsStarted   *obs.Counter
-	jobsDone      *obs.Counter
-	jobsFailed    *obs.Counter
-	jobDuration   *obs.HistogramVec
-	kernelStage   *obs.HistogramVec
-	pipelineStage *obs.HistogramVec
+	jobsInflight *obs.Gauge
+	jobsStarted  *obs.Counter
+	jobsDone     *obs.Counter
+	jobsFailed   *obs.Counter
 
 	// Counting-kernel scheduler families: how the chunk-cursor runs inside
 	// exact counts balanced. Workers/imbalance are last-run gauges (the
@@ -83,7 +78,6 @@ type serverMetrics struct {
 	kernelChunks    *obs.Counter
 	kernelSteals    *obs.Counter
 	kernelImbalance *obs.Gauge
-	kernelSched     *obs.HistogramVec
 
 	storeEnabled *obs.Gauge
 	// The store families below are registered only when persistence is
@@ -109,6 +103,7 @@ type serverMetrics struct {
 	responses    *obs.CounterVec
 	httpDuration *obs.HistogramVec
 	traceSpans   *obs.Counter
+	spanDuration *obs.HistogramVec
 }
 
 // newServerMetrics registers every family. Registration order is exposition
@@ -153,25 +148,10 @@ func newServerMetrics(withStore bool) *serverMetrics {
 	m.jobsStarted = r.NewCounter("mochyd_jobs_started_total", "Jobs created.")
 	m.jobsDone = r.NewCounter("mochyd_jobs_done_total", "Jobs finished successfully.")
 	m.jobsFailed = r.NewCounter("mochyd_jobs_failed_total", "Jobs finished with an error.")
-	m.jobDuration = r.NewHistogramVec("mochyd_job_duration_seconds", "Wall-clock job duration by kind.", jobDurationBounds, "kind")
-	// Both kinds render from the first scrape, observed or not — scrapers
-	// join on series that must exist before the first profile job runs.
-	m.jobDuration.With(api.JobKindCount)
-	m.jobDuration.With(api.JobKindProfile)
-	m.jobDuration.With(api.JobKindPipeline)
-	m.kernelStage = r.NewHistogramVec("mochyd_kernel_stage_seconds", "Pure compute time per counting kernel run, by stage.", kernelStageBounds, "stage")
 	m.kernelWorkers = r.NewGauge("mochyd_kernel_workers", "Worker goroutines of the most recent exact-count kernel run.")
 	m.kernelChunks = r.NewCounter("mochyd_kernel_chunks_total", "Scheduler chunks handed out across exact-count kernel runs.")
 	m.kernelSteals = r.NewCounter("mochyd_kernel_steals_total", "Chunks grabbed beyond a worker's static fair share (work redistributed by the chunk cursor).")
 	m.kernelImbalance = r.NewGauge("mochyd_kernel_imbalance_ratio", "Max-over-mean per-worker busy time of the most recent exact-count kernel run (1.0 = perfectly even).")
-	m.kernelSched = r.NewHistogramVec("mochyd_kernel_sched_phase_seconds", "Exact-count kernel phase durations: scheduler setup, enumeration, merge.", kernelStageBounds, "phase")
-	for _, phase := range []string{"setup", "enumerate", "merge"} {
-		m.kernelSched.With(phase)
-	}
-	m.pipelineStage = r.NewHistogramVec("mochyd_pipeline_stage_duration_seconds", "Wall-clock pipeline stage duration by stage kind.", jobDurationBounds, "stage")
-	for _, kind := range []string{api.StageCount, api.StageNullModel, api.StageRank, api.StageAnomaly, api.StageCluster, api.StageTemporal, api.StageProfile} {
-		m.pipelineStage.With(kind)
-	}
 
 	m.storeEnabled = r.NewGauge("mochyd_store_enabled", "1 when persistence is configured, else 0.")
 	if withStore {
@@ -202,8 +182,9 @@ func newServerMetrics(withStore bool) *serverMetrics {
 	m.unmatched = r.NewCounter("mochyd_requests_unmatched_total", "Requests that hit no route.")
 	m.requests = r.NewCounterVec("mochyd_requests_total", "Requests dispatched, by route.", "route")
 	m.responses = r.NewCounterVec("mochyd_http_responses_total", "Responses written, by route and status code.", "route", "code")
-	m.httpDuration = r.NewHistogramVec("mochyd_http_request_duration_seconds", "Handler latency by route.", requestDurationBounds, "route")
+	m.httpDuration = r.NewHistogramVec("mochyd_http_request_duration_seconds", "Handler latency by route.", durationBounds, "route")
 	m.traceSpans = r.NewCounter("mochyd_trace_spans_total", "Spans recorded by the flight recorder.")
+	m.spanDuration = r.NewHistogramVec("mochyd_span_duration_seconds", "Duration of every finished span by span name, whether or not the flight recorder retains it.", durationBounds, "name")
 	return m
 }
 

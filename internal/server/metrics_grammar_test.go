@@ -251,7 +251,7 @@ func TestMetricsScrapeGrammar(t *testing.T) {
 		"mochyd_pool_active", "mochyd_pool_capacity", "mochyd_queue_depth",
 		"mochyd_jobs_inflight", "mochyd_jobs_started_total",
 		"mochyd_jobs_done_total", "mochyd_jobs_failed_total",
-		"mochyd_job_duration_seconds", "mochyd_kernel_stage_seconds",
+		"mochyd_span_duration_seconds",
 		"mochyd_store_enabled", "mochyd_store_segments", "mochyd_store_live_wals",
 		"mochyd_store_segment_bytes", "mochyd_store_wal_bytes",
 		"mochyd_store_wal_records_total", "mochyd_store_wal_syncs_total",

@@ -276,7 +276,7 @@ func TestRollbackDropsWAL(t *testing.T) {
 }
 
 // TestMetricsExposeStoreAndHistograms: the observability satellite — job
-// latency histograms and persistence gauges ride /v1/metrics.
+// span durations and persistence gauges ride /v1/metrics.
 func TestMetricsExposeStoreAndHistograms(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -299,9 +299,8 @@ func TestMetricsExposeStoreAndHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`mochyd_job_duration_seconds_bucket{kind="count",le="+Inf"} 1`,
-		`mochyd_job_duration_seconds_count{kind="count"} 1`,
-		`mochyd_job_duration_seconds_count{kind="profile"} 0`,
+		`mochyd_span_duration_seconds_bucket{name="job.count",le="+Inf"} 1`,
+		`mochyd_span_duration_seconds_count{name="job.count"} 1`,
 		"mochyd_store_enabled 1",
 		"mochyd_store_segments 1",
 		"mochyd_store_live_wals 1",

@@ -78,8 +78,9 @@ type Config struct {
 	Logger *slog.Logger
 	// TraceBuffer is the flight recorder's capacity: how many finished
 	// spans GET /v1/admin/traces retains. 0 selects the default; negative
-	// disables span recording. Trace-id propagation (the X-Mochy-Trace
-	// header, job stamping, log correlation) is always on regardless.
+	// disables span retention. Trace-id propagation (the X-Mochy-Trace
+	// header, job stamping, log correlation) and span timing
+	// (mochyd_span_duration_seconds) are always on regardless.
 	TraceBuffer int
 }
 
@@ -185,7 +186,7 @@ func New(cfg Config) *Server {
 	}
 	s.mets.reg.OnScrape(s.collectMetrics)
 	s.tracer.CountSpans(s.mets.traceSpans)
-	s.jobs.durations = s.mets.jobDuration
+	s.tracer.TimeSpans(s.mets.spanDuration)
 	s.persistErrs = s.mets.persistErrs
 	s.autoCheckpoints = s.mets.autoCheckpoints
 	s.autoCheckpointErrs = s.mets.autoCheckpointErr
@@ -482,12 +483,14 @@ const (
 )
 
 // runCount runs one count kernel on e: the pipeline's count hook, called
-// under a pool slot with caching left to the memo. It records the kernel
-// spans and metrics, and persists a fresh exact count next to the graph's
-// segment.
+// under a pool slot with caching left to the memo. It records the
+// projection and kernel spans and the kernel metrics, and persists a fresh
+// exact count next to the graph's segment.
 func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (c counting.Counts, err error) {
-	t0 := time.Now()
+	p0 := time.Now()
 	p := e.Projection()
+	t0 := time.Now()
+	s.tracer.RecordSpan(ctx, "projection.build", p0, t0)
 	kctx, kspan := s.tracer.StartSpan(ctx, "kernel."+algo)
 	switch algo {
 	case algoExact:
@@ -512,7 +515,6 @@ func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples in
 	}
 	kspan.SetAttr("workers", strconv.Itoa(workers))
 	kspan.End()
-	s.mets.kernelStage.With(algo).Observe(time.Since(t0).Seconds())
 	if algo == algoExact {
 		s.persistCounts(ctx, e, c)
 	}
@@ -552,9 +554,6 @@ func (s *Server) recordKernelStats(ctx context.Context, stats counting.KernelSta
 		s.mets.kernelSteals.Add(uint64(stats.Steals))
 	}
 	s.mets.kernelImbalance.Set(stats.Imbalance)
-	s.mets.kernelSched.With("setup").Observe(stats.Setup.Seconds())
-	s.mets.kernelSched.With("enumerate").Observe(stats.Enumerate.Seconds())
-	s.mets.kernelSched.With("merge").Observe(stats.Merge.Seconds())
 	setupEnd := start.Add(stats.Setup)
 	enumEnd := setupEnd.Add(stats.Enumerate)
 	s.tracer.RecordSpan(ctx, "kernel.setup", start, setupEnd,
@@ -574,7 +573,7 @@ func (s *Server) recordKernelStats(ctx context.Context, stats counting.KernelSta
 // but the wrapper stays mutex-guarded for safety, not speed — it only runs
 // on traced exact counts that already report progress.
 func (s *Server) stagedProgress(ctx context.Context, inner func(done, total int)) func(done, total int) {
-	if !s.tracer.Enabled() || obs.TraceID(ctx) == "" {
+	if obs.TraceID(ctx) == "" {
 		return inner
 	}
 	var mu sync.Mutex

@@ -197,6 +197,9 @@ func TestRunFigure8(t *testing.T) {
 		if len(ds.Points) != 12 { // 6 ratios x 2 algorithms
 			t.Fatalf("%s: %d points, want 12", ds.Dataset, len(ds.Points))
 		}
+		if ds.ExactMS < 0 || ds.OrientedMS < 0 {
+			t.Fatalf("%s: exact timings %.3f / %.3f ms", ds.Dataset, ds.ExactMS, ds.OrientedMS)
+		}
 		for _, p := range ds.Points {
 			if p.RelErrMean < 0 {
 				t.Fatalf("%s: negative error", ds.Dataset)
@@ -243,8 +246,8 @@ func TestRunFigure10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 { // 2 algorithms x 2 worker counts
-		t.Fatalf("got %d points, want 4", len(res.Points))
+	if len(res.Points) != 6 { // 3 algorithms x 2 worker counts
+		t.Fatalf("got %d points, want 6", len(res.Points))
 	}
 	for _, p := range res.Points {
 		if p.ElapsedMS < 0 || p.Speedup < 0 {

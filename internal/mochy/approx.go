@@ -54,28 +54,32 @@ func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projec
 	return total, nil
 }
 
-// nbrBuffers holds per-worker neighborhood copies, reused across samples so
-// the sampling loops stay allocation-free after warmup. Copies are required
-// because Projector implementations only guarantee the returned slice until
-// the next Neighbors call.
+// nbrBuffers holds per-worker neighborhood copies and the worker's
+// classifier, reused across samples so the sampling loops stay
+// allocation-free after warmup. Copies are required because Projector
+// implementations only guarantee the returned slice until the next
+// Neighbors call.
 type nbrBuffers struct {
 	ni, nj []projection.Neighbor
+	pc     pairClass
 }
 
 // countContaining accumulates one raw (unscaled) count for every h-motif
 // instance that contains hyperedge i, visiting each such instance exactly
-// once (lines 4-7 of Algorithm 4).
+// once (lines 4-7 of Algorithm 4). Every instance found through neighbor e_j
+// shares the pair {e_i, e_j}, so one pairClass per e_j classifies them all.
 func countContaining(g *hypergraph.Hypergraph, p projection.Projector, i int32, out *Counts, buf *nbrBuffers) {
 	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
-	ni := buf.ni
+	ni, pc := buf.ni, &buf.pc
 	for a := 0; a < len(ni); a++ {
 		j, wij := ni[a].Edge, ni[a].Overlap
+		pc.reset(g, i, j, wij)
 		// Candidates k ∈ N(e_i) with k after j in the list: both neighbors
 		// of i (the "k ∈ N(e_i) and j < k" branch, applied to list order).
 		for b := a + 1; b < len(ni); b++ {
 			k, wik := ni[b].Edge, ni[b].Overlap
 			wjk := p.Overlap(j, k)
-			if id := classify(g, i, j, k, wij, wjk, wik); id != 0 {
+			if id := pc.motif(k, wjk, wik); id != 0 {
 				out[id-1]++
 			}
 		}
@@ -86,7 +90,7 @@ func countContaining(g *hypergraph.Hypergraph, p projection.Projector, i int32, 
 			if k == i || containsEdge(ni, k) {
 				continue
 			}
-			if id := classify(g, i, j, k, wij, nb.Overlap, 0); id != 0 {
+			if id := pc.motif(k, nb.Overlap, 0); id != 0 {
 				out[id-1]++
 			}
 		}
@@ -135,11 +139,13 @@ func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p proje
 // containing the hyperwedge ∧ij (lines 4-5 of Algorithm 5), walking the two
 // sorted neighborhoods with a single merge so each candidate e_k in
 // N(e_i) ∪ N(e_j) \ {e_i, e_j} is visited once with both overlaps in hand.
+// Every candidate shares the sampled pair {e_i, e_j}, so one pairClass
+// classifies them all.
 func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j int32, out *Counts, buf *nbrBuffers) {
 	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
 	buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
-	ni, nj := buf.ni, buf.nj
-	wij := p.Overlap(i, j)
+	ni, nj, pc := buf.ni, buf.nj, &buf.pc
+	pc.reset(g, i, j, p.Overlap(i, j))
 	a, b := 0, 0
 	for a < len(ni) || b < len(nj) {
 		var k, wik, wjk int32
@@ -158,7 +164,7 @@ func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j
 		if k == i || k == j {
 			continue
 		}
-		if id := classify(g, i, j, k, wij, wjk, wik); id != 0 {
+		if id := pc.motif(k, wjk, wik); id != 0 {
 			out[id-1]++
 		}
 	}

@@ -1,10 +1,11 @@
 // Package mochy implements the MoCHy family of h-motif counting algorithms
 // from "Hypergraph Motifs: Concepts, Algorithms, and Discoveries" (VLDB
-// 2020): the exact counter MoCHy-E (Algorithm 2), the instance enumerator
-// MoCHy-EENUM (Algorithm 3), and the two unbiased approximate counters
-// MoCHy-A (hyperedge sampling, Algorithm 4) and MoCHy-A+ (hyperwedge
-// sampling, Algorithm 5), each with parallel execution over worker
-// goroutines (Section 3.4).
+// 2020): the exact counter MoCHy-E (Algorithm 2, and an oriented variant
+// that tallies open instances per anchor and lists closed ones once as
+// triangles), the instance enumerator MoCHy-EENUM (Algorithm 3), and the
+// two unbiased approximate counters MoCHy-A (hyperedge sampling,
+// Algorithm 4) and MoCHy-A+ (hyperwedge sampling, Algorithm 5), each with
+// parallel execution over worker goroutines (Section 3.4).
 package mochy
 
 import (

@@ -67,21 +67,23 @@ func (k *kern) overlap(j, kk int32) int32 {
 
 // anchorPairs enumerates the instances anchored at hyperedge i per the
 // Algorithm 2 dedup rule (closed triples counted only from their smallest
-// member) and invokes visit for each classified instance. The anchor
-// neighborhood is copied into buf (returned for reuse) because projectors
-// only guarantee the slice until the next Neighbors call.
+// member), classifies each through pc and invokes visit for each valid
+// instance. The anchor neighborhood is copied into buf (returned for reuse)
+// because projectors only guarantee the slice until the next Neighbors call.
 //
-// For each neighbor e_j, the remaining pairs {e_j, e_k} need ω(∧jk). Two
-// strategies: an overlap probe per pair (cheapest side first when the
-// projector is oriented), or — when e_j's own neighborhood is small relative
-// to the remaining pairs and the projector hands out stable sorted slices —
-// one merge-style walk of N(e_j) against the rest of the anchor
+// For each neighbor e_j, the remaining pairs {e_j, e_k} share the pair
+// {e_i, e_j}, so pc classifies them all from one e_i ∩ e_j, and they need
+// ω(∧jk). Two strategies: an overlap probe per pair (cheapest side first
+// when the projector is oriented), or — when e_j's own neighborhood is small
+// relative to the remaining pairs and the projector hands out stable sorted
+// slices — one merge-style walk of N(e_j) against the rest of the anchor
 // neighborhood, which visits each side once instead of paying a search per
 // pair.
-func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, visit visitFunc) []projection.Neighbor {
+func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, visit visitFunc) []projection.Neighbor {
 	ns := append(buf[:0], k.p.Neighbors(i)...)
 	for a := 0; a+1 < len(ns); a++ {
 		j, wij := ns[a].Edge, ns[a].Overlap
+		pc.reset(k.g, i, j, wij)
 		rest := ns[a+1:]
 		if k.deg != nil && k.deg.Degree(j) < mergeFactor*len(rest) {
 			adjJ := k.p.Neighbors(j)
@@ -98,7 +100,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, visit visitFunc) 
 				if wjk != 0 && (i > j || i > kk) {
 					continue // closed: counted only from the smallest ID
 				}
-				if id := classify(k.g, i, j, kk, wij, wjk, wik); id != 0 {
+				if id := pc.motif(kk, wjk, wik); id != 0 {
 					visit(i, j, kk, id)
 				}
 			}
@@ -110,7 +112,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, visit visitFunc) 
 			if wjk != 0 && (i > j || i > kk) {
 				continue
 			}
-			if id := classify(k.g, i, j, kk, wij, wjk, wik); id != 0 {
+			if id := pc.motif(kk, wjk, wik); id != 0 {
 				visit(i, j, kk, id)
 			}
 		}
@@ -135,30 +137,37 @@ func (o Options) workers() int {
 // visitFunc receives one classified instance {e_i, e_j, e_k} of motif id.
 type visitFunc func(i, j, k int32, id int)
 
-// run is the one anchor loop behind every exact path: counting, per-edge
-// counting and enumeration differ only in what they do with each instance.
-// Anchor hyperedges are handed to workers through an atomic chunk cursor
-// over ranges sized by estimated pair work (C(deg, 2) prefix sums when the
+// anchorFunc processes one anchor hyperedge on a worker's goroutine.
+type anchorFunc func(i int32)
+
+// run is the one anchor loop behind every exact path: the oriented counter
+// and the Algorithm-2 pair loop (counting, per-edge counting and
+// enumeration) differ only in what a worker does with each anchor. Anchor
+// hyperedges are handed to workers through an atomic chunk cursor over
+// ranges sized by estimated pair work (C(deg, 2) prefix sums when the
 // projector reports degrees), so a worker that lands on a projected-graph
 // hub does not serialize the run the way a static stride partition would.
-// newVisit is called once on each worker's goroutine, before it enumerates,
-// and returns the function that worker feeds its instances to; at workers=1
-// anchors are visited in ascending order. merge (which may be nil) folds the
-// per-worker results once every worker has finished.
+// setup, which may be nil, runs once before the workers start and is timed
+// with the scheduler as the Setup phase. newWorker is called once on each
+// worker's goroutine and returns the function that worker feeds its anchors
+// to; at workers=1 anchors are visited in ascending order. merge (which may
+// be nil) folds the per-worker results once every worker has finished.
 //
 // If ctx is cancelled the run stops at the next anchor boundary on every
 // worker and returns the cancellation cause without merging. The returned
 // KernelStats describe the run's scheduling and phase timings whether or not
 // it completed. Progress, when set, is reported every progressStride anchors
 // and once with done == total after a successful merge.
-func run(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options, newVisit func(w int) visitFunc, merge func()) (KernelStats, error) {
+func run(ctx context.Context, p projection.Projector, opts Options, setup func(), newWorker func(w int) anchorFunc, merge func()) (KernelStats, error) {
 	workers := opts.workers()
-	n := g.NumEdges()
+	n := p.NumEdges()
 	stats := KernelStats{Workers: workers}
 
 	setupStart := time.Now()
 	sched := newChunkSched(p, n, workers)
-	k := newKern(g, p)
+	if setup != nil {
+		setup()
+	}
 	stats.Chunks = sched.numChunks()
 	stats.CostAware = sched.costAware
 	stats.Setup = time.Since(setupStart)
@@ -179,8 +188,7 @@ func run(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, 
 			defer wg.Done()
 			start := time.Now()
 			defer func() { busy[w] = time.Since(start) }()
-			visit := newVisit(w)
-			var ns []projection.Neighbor
+			anchor := newWorker(w)
 			sinceReport := 0
 			for {
 				c := sched.next()
@@ -197,7 +205,7 @@ func run(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, 
 						default:
 						}
 					}
-					ns = k.anchorPairs(i, ns, visit)
+					anchor(i)
 					if opts.Progress != nil {
 						if sinceReport++; sinceReport == progressStride {
 							opts.Progress(int(reported.Add(int64(sinceReport))), n)
@@ -225,25 +233,61 @@ func run(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, 
 	return stats, nil
 }
 
-// CountExact runs MoCHy-E (Algorithm 2): for every hyperedge e_i and every
-// unordered pair {e_j, e_k} of its projected-graph neighbors, the instance
-// {e_i, e_j, e_k} is counted once — immediately if e_j and e_k are disjoint
-// (open motifs, counted at their center), and only from the smallest-ID
-// member if they overlap (closed motifs). workers ≥ 1 selects the number of
-// goroutines. See CountExactOpts for the scheduling model.
+// runPairs runs the Algorithm-2 pair loop on the anchor loop: each worker
+// walks every pair of each anchor's neighbors with its own pairClass and
+// feeds the valid instances to the visitFunc newVisit returns for it.
+func runPairs(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options, newVisit func(w int) visitFunc, merge func()) (KernelStats, error) {
+	k := newKern(g, p)
+	return run(ctx, p, opts, nil, func(w int) anchorFunc {
+		visit := newVisit(w)
+		var pc pairClass
+		var ns []projection.Neighbor
+		return func(i int32) { ns = k.anchorPairs(i, ns, &pc, visit) }
+	}, merge)
+}
+
+// CountExact counts every h-motif instance exactly with CountExactOpts and
+// the given number of worker goroutines (values < 1 mean 1).
 func CountExact(g *hypergraph.Hypergraph, p projection.Projector, workers int) Counts {
 	c, _, _ := CountExactOpts(context.Background(), g, p, Options{Workers: workers})
 	return c
 }
 
-// CountExactOpts is the full-control MoCHy-E entry point, scheduled by the
-// shared anchor loop (see run). Counts accumulate in per-worker vectors
-// merged once at the end; results are identical for every worker count. On
-// cancellation the returned Counts are zero and the error is the cause.
+// CountExactOpts is the full-control exact counter (MoCHy-E), scheduled by
+// the shared anchor loop (see run). Which algorithm runs depends on the
+// projector:
+//
+//   - With O(1) degrees (*projection.Projected) it runs the oriented counter
+//     (see countOriented): open instances come from a per-anchor histogram
+//     of N(e_i), and closed ones are listed once each as degree-ordered
+//     triangles of the projected graph. It never visits an open triple. Its
+//     setup orients the projected graph into out-lists of |∧| entries, and
+//     each worker holds 8·|E| bytes of marks.
+//   - Otherwise (the memoized projector of Section 3.4) it runs the
+//     Algorithm-2 pair loop of CountPairs.
+//
+// Counts accumulate per worker and are merged once at the end; results are
+// identical for every worker count and both algorithms. On cancellation the
+// returned Counts are zero and the error is the cause.
 func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options) (Counts, KernelStats, error) {
+	if dp, ok := p.(degreeProjector); ok {
+		return countOriented(ctx, g, p, dp, opts)
+	}
+	return CountPairs(ctx, g, p, opts)
+}
+
+// CountPairs runs MoCHy-E as Algorithm 2 states it: for every hyperedge e_i
+// and every unordered pair {e_j, e_k} of its projected-graph neighbors, the
+// instance {e_i, e_j, e_k} is counted once — immediately if e_j and e_k are
+// disjoint (open motifs, counted at their center), and only from the
+// smallest-ID member if they overlap (closed motifs). CountExactOpts runs it
+// on projectors without O(1) degrees; the experiments time it to keep the
+// paper's speed ratios comparable. Scheduling, cancellation, progress and
+// KernelStats behave as in CountExactOpts.
+func CountPairs(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options) (Counts, KernelStats, error) {
 	results := make([]Counts, opts.workers())
 	var total Counts
-	stats, err := run(ctx, g, p, opts, func(w int) visitFunc {
+	stats, err := runPairs(ctx, g, p, opts, func(w int) visitFunc {
 		local := &results[w]
 		return func(_, _, _ int32, id int) { local[id-1]++ }
 	}, func() {
@@ -254,8 +298,9 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 	return total, stats, err
 }
 
-// Enumerate runs MoCHy-EENUM (Algorithm 3): it visits every h-motif instance
-// exactly once, anchors in ascending order, invoking fn for each. Enumeration
+// Enumerate runs MoCHy-EENUM (Algorithm 3) on the pair loop: it visits every
+// h-motif instance exactly once, anchors in ascending order, invoking fn for
+// each. Enumeration
 // stops early if fn returns false. Instances are reported with A < B < C.
 func Enumerate(g *hypergraph.Hypergraph, p projection.Projector, fn func(Instance) bool) {
 	// Early stop reuses the anchor loop's cancellation check: fn is never
@@ -263,7 +308,7 @@ func Enumerate(g *hypergraph.Hypergraph, p projection.Projector, fn func(Instanc
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	stopped := false
-	_, _ = run(ctx, g, p, Options{Workers: 1}, func(int) visitFunc {
+	_, _ = runPairs(ctx, g, p, Options{Workers: 1}, func(int) visitFunc {
 		return func(i, j, kk int32, id int) {
 			if stopped {
 				return
@@ -280,7 +325,8 @@ func Enumerate(g *hypergraph.Hypergraph, p projection.Projector, fn func(Instanc
 // PerEdgeCounts returns, for every hyperedge, how many instances of each
 // h-motif contain it — the HM26 feature of Section 4.4 — together with the
 // aggregate counts. The result has NumEdges rows of 26 columns and is
-// identical for every worker count.
+// identical for every worker count. It runs the Algorithm-2 pair loop, which
+// visits every instance.
 //
 // Every worker writes into a private dense shard of the per-edge matrix (an
 // instance touches three arbitrary rows, so shared rows would need an atomic
@@ -295,7 +341,7 @@ func PerEdgeCounts(ctx context.Context, g *hypergraph.Hypergraph, p projection.P
 	totals := make([]Counts, workers)
 	var per [][]int64
 	var total Counts
-	stats, err := run(ctx, g, p, opts, func(w int) visitFunc {
+	stats, err := runPairs(ctx, g, p, opts, func(w int) visitFunc {
 		shard := make([]int64, n*26)
 		shards[w] = shard
 		local := &totals[w]

@@ -21,22 +21,6 @@ func paperExample() *hypergraph.Hypergraph {
 	})
 }
 
-// bruteForceCounts enumerates all O(|E|^3) triples and classifies each.
-func bruteForceCounts(g *hypergraph.Hypergraph) Counts {
-	var c Counts
-	n := g.NumEdges()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for k := j + 1; k < n; k++ {
-				if id := Classify(g, int32(i), int32(j), int32(k)); id != 0 {
-					c[id-1]++
-				}
-			}
-		}
-	}
-	return c
-}
-
 func TestCountExactPaperExample(t *testing.T) {
 	g := paperExample()
 	p := projection.Build(g)
@@ -149,20 +133,21 @@ func perEdge(t *testing.T, g *hypergraph.Hypergraph, p projection.Projector, wor
 }
 
 // referenceEnumerate is MoCHy-EENUM as a plain serial loop with one overlap
-// probe per pair: the order every workers=1 enumeration must reproduce.
+// probe per pair, classified by the brute-force Classify: the order every
+// workers=1 enumeration must reproduce.
 func referenceEnumerate(g *hypergraph.Hypergraph, p projection.Projector) []Instance {
 	var out []Instance
 	for i := int32(0); int(i) < g.NumEdges(); i++ {
 		ns := append([]projection.Neighbor(nil), p.Neighbors(i)...)
 		for a := 0; a < len(ns); a++ {
-			j, wij := ns[a].Edge, ns[a].Overlap
+			j := ns[a].Edge
 			for b := a + 1; b < len(ns); b++ {
-				kk, wik := ns[b].Edge, ns[b].Overlap
+				kk := ns[b].Edge
 				wjk := p.Overlap(j, kk)
 				if wjk != 0 && (i > j || i > kk) {
 					continue
 				}
-				if id := classify(g, i, j, kk, wij, wjk, wik); id != 0 {
+				if id := Classify(g, i, j, kk); id != 0 {
 					x, y, z := sort3(i, j, kk)
 					out = append(out, Instance{A: x, B: y, C: z, Motif: id})
 				}

@@ -1,0 +1,222 @@
+package mochy
+
+// The counting oracle: every exact path — the oriented counter behind
+// CountExactOpts, the Algorithm-2 pair loop (CountPairs and the memoized
+// projector), PerEdgeCounts and Enumerate — must agree with brute-force
+// Classify over all O(|E|^3) triples, on seeded graphs of four families.
+//
+//	go test -count=20 -cpu 1,2,8 -run Oracle ./internal/mochy
+//	go test -run '^$' -fuzz FuzzCountOracle -fuzztime 20s ./internal/mochy
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"mochy/internal/hypergraph"
+	"mochy/internal/projection"
+)
+
+// oracleFamilies are the graph shapes the oracle draws from, each built
+// from a seeded RNG:
+//   - uniform node picks;
+//   - zipf-skewed picks, which grow hub hyperedges so that cost-aware
+//     chunks, degree orientation and the merge walk all engage;
+//   - repeated and nested hyperedges kept by KeepDuplicates, where
+//     e_j ⊆ e_i and e_j = e_i decide the subset bit of the open tallies;
+//   - singleton edges over a few nodes, whose neighbourhoods are cliques.
+var oracleFamilies = []struct {
+	name  string
+	build func(rng *rand.Rand) *hypergraph.Hypergraph
+}{
+	{"uniform", func(rng *rand.Rand) *hypergraph.Hypergraph {
+		return randomHypergraph(rng, 15+rng.Intn(15), 20+rng.Intn(20), 6)
+	}},
+	{"skewed", func(rng *rand.Rand) *hypergraph.Hypergraph {
+		return skewedRandomHypergraph(rng, 30+rng.Intn(30), 40+rng.Intn(40))
+	}},
+	{"duplicates", duplicateHypergraph},
+	{"singletons", singletonHypergraph},
+}
+
+// oracleGraph builds the oracle input of one family from a seed.
+func oracleGraph(family int, seed int64) *hypergraph.Hypergraph {
+	return oracleFamilies[family].build(rand.New(rand.NewSource(seed)))
+}
+
+// duplicateHypergraph draws edges of which about a quarter repeat an earlier
+// edge verbatim and another quarter are non-empty subsets of one.
+func duplicateHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
+	nodes := 12 + rng.Intn(12)
+	b := hypergraph.NewBuilder(nodes).KeepDuplicates()
+	var drawn [][]int32
+	for i, n := 0, 25+rng.Intn(20); i < n; i++ {
+		var e []int32
+		switch r := rng.Intn(4); {
+		case r == 0 && len(drawn) > 0:
+			e = drawn[rng.Intn(len(drawn))]
+		case r == 1 && len(drawn) > 0:
+			src := drawn[rng.Intn(len(drawn))]
+			for _, v := range src {
+				if rng.Intn(2) == 0 {
+					e = append(e, v)
+				}
+			}
+			if len(e) == 0 {
+				e = src[:1]
+			}
+		default:
+			e = make([]int32, 1+rng.Intn(5))
+			for j := range e {
+				e[j] = int32(rng.Intn(nodes))
+			}
+		}
+		drawn = append(drawn, e)
+		b.AddEdge(e)
+	}
+	return mustBuild(b)
+}
+
+// singletonHypergraph mixes single-node edges with edges of 2–4 nodes over
+// a small node set.
+func singletonHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
+	nodes := 8 + rng.Intn(8)
+	b := hypergraph.NewBuilder(nodes)
+	for i, n := 0, 25+rng.Intn(15); i < n; i++ {
+		size := 1
+		if rng.Intn(2) == 0 {
+			size = 2 + rng.Intn(3)
+		}
+		e := make([]int32, size)
+		for j := range e {
+			e[j] = int32(rng.Intn(nodes))
+		}
+		b.AddEdge(e)
+	}
+	return mustBuild(b)
+}
+
+func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// bruteForceResult is the oracle's reference: aggregate counts, per-edge
+// rows and the motif of every instance, from Classify on every triple.
+type bruteForceResult struct {
+	total     Counts
+	per       [][]int64
+	instances map[[3]int32]int
+}
+
+// bruteForce classifies all O(|E|^3) triples with Classify, which shares no
+// code with the counting kernels.
+func bruteForce(g *hypergraph.Hypergraph) bruteForceResult {
+	n := g.NumEdges()
+	r := bruteForceResult{per: make([][]int64, n), instances: make(map[[3]int32]int)}
+	for e := range r.per {
+		r.per[e] = make([]int64, 26)
+	}
+	for i := int32(0); int(i) < n; i++ {
+		for j := i + 1; int(j) < n; j++ {
+			for k := j + 1; int(k) < n; k++ {
+				id := Classify(g, i, j, k)
+				if id == 0 {
+					continue
+				}
+				r.total[id-1]++
+				r.per[i][id-1]++
+				r.per[j][id-1]++
+				r.per[k][id-1]++
+				r.instances[[3]int32{i, j, k}] = id
+			}
+		}
+	}
+	return r
+}
+
+// bruteForceCounts is the aggregate part of bruteForce.
+func bruteForceCounts(g *hypergraph.Hypergraph) Counts { return bruteForce(g).total }
+
+// checkOracle asserts every exact counting path against brute force on g.
+// budget sizes the memoized projector.
+func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget int64) {
+	t.Helper()
+	want := bruteForce(g)
+	ctx := context.Background()
+	p := projection.Build(g)
+	m := projection.NewMemoized(g, budget, projection.PolicyDegree)
+	for _, workers := range []int{1, 2, 3, 8} {
+		opts := Options{Workers: workers}
+		for _, pr := range []projection.Projector{p, m} {
+			if got, _, err := CountExactOpts(ctx, g, pr, opts); err != nil || got != want.total {
+				t.Fatalf("%s: CountExactOpts(%T, workers=%d) = %v, %v; brute force %v",
+					label, pr, workers, got.String(), err, want.total.String())
+			}
+		}
+		if got, _, err := CountPairs(ctx, g, p, opts); err != nil || got != want.total {
+			t.Fatalf("%s: CountPairs(workers=%d) = %v, %v; brute force %v",
+				label, workers, got.String(), err, want.total.String())
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		per, total, _, err := PerEdgeCounts(ctx, g, p, Options{Workers: workers})
+		if err != nil || total != want.total {
+			t.Fatalf("%s: PerEdgeCounts(workers=%d) total = %v, %v; brute force %v",
+				label, workers, total.String(), err, want.total.String())
+		}
+		for e := range per {
+			for col := range per[e] {
+				if per[e][col] != want.per[e][col] {
+					t.Fatalf("%s: PerEdgeCounts(workers=%d) edge %d motif %d = %d, brute force %d",
+						label, workers, e, col+1, per[e][col], want.per[e][col])
+				}
+			}
+		}
+	}
+	// fn runs on the kernel's worker goroutine: record, stop, fail here.
+	seen := make(map[[3]int32]bool, len(want.instances))
+	var bad *Instance
+	Enumerate(g, p, func(ins Instance) bool {
+		key := [3]int32{ins.A, ins.B, ins.C}
+		if id, ok := want.instances[key]; !ok || id != ins.Motif || seen[key] {
+			bad = &ins
+			return false
+		}
+		seen[key] = true
+		return true
+	})
+	if bad != nil {
+		key := [3]int32{bad.A, bad.B, bad.C}
+		t.Fatalf("%s: Enumerate visited %+v (brute force motif %d, seen before %v)", label, *bad, want.instances[key], seen[key])
+	}
+	if len(seen) != len(want.instances) {
+		t.Fatalf("%s: Enumerate visited %d instances, brute force has %d", label, len(seen), len(want.instances))
+	}
+}
+
+// oracleSeed checks every family at one seed; the seed also picks the
+// memoized projector's budget (none, a few neighbourhoods, everything).
+func oracleSeed(t *testing.T, seed int64) {
+	t.Helper()
+	budget := []int64{0, 20, 1 << 16}[uint64(seed)%3]
+	for f, fam := range oracleFamilies {
+		checkOracle(t, fam.name, oracleGraph(f, seed), budget)
+	}
+}
+
+func TestCountOracle(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		oracleSeed(t, seed)
+	}
+}
+
+func FuzzCountOracle(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(oracleSeed)
+}

@@ -28,10 +28,10 @@ import (
 const chunksPerWorker = 16
 
 // degreeProjector is the optional projector capability the cost-aware
-// scheduler and the cheapest-side pair ordering key off. Projected implements
-// it in O(1); the memoized projector deliberately does not (computing a
-// degree there costs a full neighborhood), so it falls back to uniform
-// chunks.
+// scheduler, the cheapest-side pair ordering and the choice of the oriented
+// counter key off. Projected implements it in O(1); the memoized projector
+// deliberately does not (computing a degree there costs a full
+// neighborhood), so it falls back to uniform chunks and the pair loop.
 type degreeProjector interface {
 	Degree(e int32) int
 }
@@ -70,8 +70,9 @@ type KernelStats struct {
 	// everything).
 	Imbalance float64
 	// Setup, Enumerate and Merge are the wall-clock durations of the three
-	// kernel phases: scheduler construction, the parallel enumeration, and
-	// the merge of per-worker results.
+	// kernel phases: scheduler construction (with the projected graph's
+	// orientation when the oriented counter runs), the parallel
+	// enumeration, and the merge of per-worker results.
 	Setup     time.Duration
 	Enumerate time.Duration
 	Merge     time.Duration

@@ -116,16 +116,23 @@ type CountOptions = counting.Options
 // share, busy-time imbalance, and per-phase durations.
 type KernelStats = counting.KernelStats
 
-// CountExact runs MoCHy-E (Algorithm 2) with the given worker count.
+// CountExact counts every h-motif instance exactly (MoCHy-E) with the given
+// worker count; see CountExactOpts for which algorithm runs.
 func CountExact(g *Hypergraph, p Projector, workers int) Counts {
 	return counting.CountExact(g, p, workers)
 }
 
-// CountExactOpts is the full-control MoCHy-E entry point: anchor hyperedges
-// are scheduled through a cost-aware atomic chunk cursor, ctx cancellation
-// stops the run at the next anchor boundary, opts.Progress reports anchors
-// done, and the returned KernelStats describe how the run balanced. Results
-// are identical to CountExact for every worker count.
+// CountExactOpts is the full-control MoCHy-E entry point. On a materialized
+// projection (Project) it runs the oriented counter: open instances are
+// tallied from one histogram of each anchor's neighborhood, and closed ones
+// are listed once each as degree-ordered triangles of the projected graph,
+// after a setup that orients the projection (|∧| transient out-entries,
+// plus 8·|E| bytes per worker). On the on-the-fly projector it runs
+// Algorithm 2's pair loop. Either way anchor hyperedges are scheduled
+// through a cost-aware atomic chunk cursor, ctx cancellation stops the run
+// at the next anchor boundary, opts.Progress reports anchors done, and the
+// returned KernelStats describe how the run balanced. Results are identical
+// to CountExact for every worker count.
 func CountExactOpts(ctx context.Context, g *Hypergraph, p Projector, opts CountOptions) (Counts, KernelStats, error) {
 	return counting.CountExactOpts(ctx, g, p, opts)
 }

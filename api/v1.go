@@ -146,7 +146,8 @@ type DeleteResult struct {
 type CountRequest struct {
 	// Algorithm is "exact" (default), "edge-sample" or "wedge-sample".
 	Algorithm string `json:"algorithm,omitempty"`
-	// Samples is the sampling budget; required for the sampling algorithms.
+	// Samples is the sampling budget; required for the sampling algorithms,
+	// in [1, 2^31-1].
 	Samples int `json:"samples,omitempty"`
 	// Seed makes sampling estimates reproducible.
 	Seed int64 `json:"seed,omitempty"`

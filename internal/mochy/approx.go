@@ -2,22 +2,22 @@ package mochy
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/motif"
 	"mochy/internal/projection"
 )
 
-// sampleBlock is the unit of work the sampling estimators schedule: workers
-// grab blocks of this many samples from an atomic cursor. Each block owns an
-// RNG stream derived from (seed, block index), so the sample set — and with
-// it the estimate — depends only on the seed, not on the worker count or on
-// which worker drains which block. 64 samples amortize the cursor add and the
-// RNG construction while keeping redistribution fine-grained: a worker stuck
-// on samples that hit hub hyperedges gives up the rest of the sample budget.
+// sampleBlock is the unit of work the sampling estimators schedule: each
+// anchor of the anchor loop is a block of this many samples. Each block owns
+// an RNG stream derived from (seed, block index), so the sample set — and
+// with it the estimate — depends only on the seed, not on the worker count
+// or on which worker drains which block. 64 samples amortize the RNG
+// construction while keeping redistribution fine-grained: a worker stuck on
+// samples that hit hub hyperedges gives up the rest of the sample budget.
 const sampleBlock = 64
 
 // CountEdgeSamples runs MoCHy-A (Algorithm 4): it samples s hyperedges
@@ -33,16 +33,16 @@ func CountEdgeSamples(g *hypergraph.Hypergraph, p projection.Projector, s int, s
 
 // CountEdgeSamplesCtx is CountEdgeSamples with cancellation: if ctx is
 // cancelled the run stops at the next sample block on every worker and
-// returns the cancellation cause.
+// returns the cancellation cause. It fails when s needs more sample blocks
+// than one run schedules (math.MaxInt32).
 func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, s int, seed int64, workers int) (Counts, error) {
 	if s <= 0 || g.NumEdges() == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, s, seed, func(rng *rand.Rand, quota int, out *Counts, buf *nbrBuffers) {
-		for n := 0; n < quota; n++ {
-			i := int32(rng.Intn(g.NumEdges()))
-			countContaining(g, p, i, out, buf)
-		}
+	total, err := parallelSamples(ctx, workers, s, seed, func(rng *rand.Rand, out *Counts, buf *nbrBuffers) {
+		i := int32(rng.Intn(g.NumEdges()))
+		buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
+		countContaining(g, p, g.Edge(int(i)), i, buf.ni, out, buf)
 	})
 	if err != nil {
 		return Counts{}, err
@@ -64,30 +64,33 @@ type nbrBuffers struct {
 	pc     pairClass
 }
 
-// countContaining accumulates one raw (unscaled) count for every h-motif
-// instance that contains hyperedge i, visiting each such instance exactly
-// once (lines 4-7 of Algorithm 4). Every instance found through neighbor e_j
-// shares the pair {e_i, e_j}, so one pairClass per e_j classifies them all.
-func countContaining(g *hypergraph.Hypergraph, p projection.Projector, i int32, out *Counts, buf *nbrBuffers) {
-	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
-	ni, pc := buf.ni, &buf.pc
+// countContaining is the one walker for "instances containing e_i" (lines
+// 4-7 of Algorithm 4): it accumulates one raw (unscaled) count for every
+// h-motif instance that contains the hyperedge with node set ei, visiting
+// each such instance exactly once. ni is its neighborhood, sorted by edge
+// and valid across Neighbors calls; self is its ID in g, or -1 for a node
+// set that is not one of g's edges. Every instance found through neighbor
+// e_j shares the pair {e_i, e_j}, so one pairClass per e_j classifies them
+// all. Edges of g set-equal to ei may sit in ni: every triple with one of
+// them classifies as motif 0.
+func countContaining(g *hypergraph.Hypergraph, p projection.Projector, ei []int32, self int32, ni []projection.Neighbor, out *Counts, buf *nbrBuffers) {
+	pc := &buf.pc
 	for a := 0; a < len(ni); a++ {
 		j, wij := ni[a].Edge, ni[a].Overlap
-		pc.reset(g, i, j, wij)
+		pc.reset(g, ei, j, wij)
 		// Candidates k ∈ N(e_i) with k after j in the list: both neighbors
 		// of i (the "k ∈ N(e_i) and j < k" branch, applied to list order).
 		for b := a + 1; b < len(ni); b++ {
 			k, wik := ni[b].Edge, ni[b].Overlap
-			wjk := p.Overlap(j, k)
-			if id := pc.motif(k, wjk, wik); id != 0 {
+			if id := pc.motif(k, p.Overlap(j, k), wik); id != 0 {
 				out[id-1]++
 			}
 		}
-		// Candidates k ∈ N(e_j) \ N(e_i) \ {i}: open instances centered at j.
+		// Candidates k ∈ N(e_j) \ N(e_i) \ {e_i}: open instances centered at j.
 		buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
 		for _, nb := range buf.nj {
 			k := nb.Edge
-			if k == i || containsEdge(ni, k) {
+			if k == self || containsEdge(ni, k) {
 				continue
 			}
 			if id := pc.motif(k, nb.Overlap, 0); id != 0 {
@@ -110,17 +113,16 @@ func CountWedgeSamples(g *hypergraph.Hypergraph, p projection.Projector, sampler
 
 // CountWedgeSamplesCtx is CountWedgeSamples with cancellation: if ctx is
 // cancelled the run stops at the next sample block on every worker and
-// returns the cancellation cause.
+// returns the cancellation cause. It fails when r needs more sample blocks
+// than one run schedules (math.MaxInt32).
 func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, sampler projection.WedgeSampler, r int, seed int64, workers int) (Counts, error) {
 	numWedges := p.NumWedges()
 	if r <= 0 || numWedges == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, r, seed, func(rng *rand.Rand, quota int, out *Counts, buf *nbrBuffers) {
-		for n := 0; n < quota; n++ {
-			i, j := sampler.SampleWedge(rng)
-			countContainingWedge(g, p, i, j, out, buf)
-		}
+	total, err := parallelSamples(ctx, workers, r, seed, func(rng *rand.Rand, out *Counts, buf *nbrBuffers) {
+		i, j := sampler.SampleWedge(rng)
+		countContainingWedge(g, p, i, j, out, buf)
 	})
 	if err != nil {
 		return Counts{}, err
@@ -145,7 +147,7 @@ func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j
 	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
 	buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
 	ni, nj, pc := buf.ni, buf.nj, &buf.pc
-	pc.reset(g, i, j, p.Overlap(i, j))
+	pc.reset(g, g.Edge(int(i)), j, p.Overlap(i, j))
 	a, b := 0, 0
 	for a < len(ni) || b < len(nj) {
 		var k, wik, wjk int32
@@ -170,63 +172,35 @@ func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j
 	}
 }
 
-// parallelSamples distributes n samples over workers goroutines in blocks of
-// sampleBlock, each block with an RNG stream derived from (seed, block
-// index). Workers grab blocks from an atomic cursor, so a worker whose
-// samples land on expensive hyperedges does not strand the rest of the
-// budget; because streams attach to blocks rather than workers, and raw
-// per-motif counts are integer increments (merge order cannot perturb them),
-// the result is identical for every worker count.
-func parallelSamples(ctx context.Context, workers, n int, seed int64, run func(rng *rand.Rand, quota int, out *Counts, buf *nbrBuffers)) (Counts, error) {
-	if workers < 1 {
-		workers = 1
+// parallelSamples draws n > 0 samples on the anchor loop (see run), whose
+// anchors are blocks of sampleBlock samples: block b calls sample for each of
+// its samples with an RNG stream seeded from (seed, b). Because streams
+// attach to blocks rather than workers, and raw per-motif counts are integer
+// increments (merge order cannot perturb them), the result is identical for
+// every worker count. It fails when the blocks do not fit the anchor loop's
+// int32 anchor space.
+func parallelSamples(ctx context.Context, workers, n int, seed int64, sample func(rng *rand.Rand, out *Counts, buf *nbrBuffers)) (Counts, error) {
+	blocks := (n-1)/sampleBlock + 1
+	if blocks > math.MaxInt32 {
+		return Counts{}, fmt.Errorf("mochy: %d samples need %d sample blocks, more than the %d one run schedules", n, blocks, math.MaxInt32)
 	}
-	blocks := (n + sampleBlock - 1) / sampleBlock
-	if workers > blocks {
-		workers = blocks
-	}
-	var doneCh <-chan struct{}
-	if ctx != nil {
-		doneCh = ctx.Done()
-	}
-	var cursor atomic.Int64
-	results := make([]Counts, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf nbrBuffers
-			for {
-				if doneCh != nil {
-					select {
-					case <-doneCh:
-						return
-					default:
-					}
-				}
-				b := int(cursor.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				quota := sampleBlock
-				if rem := n - b*sampleBlock; rem < quota {
-					quota = rem
-				}
-				rng := rand.New(rand.NewSource(seed + int64(b)*0x9e3779b9))
-				run(rng, quota, &results[w], &buf)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return Counts{}, context.Cause(ctx)
-	}
+	opts := Options{Workers: workers}
+	results := make([]Counts, opts.workers())
 	var total Counts
-	for w := range results {
-		total.add(&results[w])
-	}
-	return total, nil
+	_, err := run(ctx, nil, blocks, opts, nil, func(w int) anchorFunc {
+		var buf nbrBuffers
+		return func(b int32) {
+			rng := rand.New(rand.NewSource(seed + int64(b)*0x9e3779b9))
+			for left := min(sampleBlock, n-int(b)*sampleBlock); left > 0; left-- {
+				sample(rng, &results[w], &buf)
+			}
+		}
+	}, func() {
+		for w := range results {
+			total.add(&results[w])
+		}
+	})
+	return total, err
 }
 
 // containsEdge binary-searches a sorted neighborhood for edge k.

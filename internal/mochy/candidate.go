@@ -4,23 +4,20 @@ import (
 	"sort"
 
 	"mochy/internal/hypergraph"
-	"mochy/internal/motif"
 	"mochy/internal/projection"
 )
 
 // CountForNodeSet counts, for each h-motif, the instances formed by the
 // candidate hyperedge `nodes` together with two hyperedges of g. The
-// candidate itself need not be an edge of g; hyperedges of g that are
-// set-equal to the candidate are skipped, so features of an existing edge
+// candidate itself need not be an edge of g: its neighborhood is built from
+// the incidence lists, and MoCHy-A's per-sample walker (countContaining)
+// counts the instances through it. Hyperedges of g set-equal to the
+// candidate form no valid instance with it, so features of an existing edge
 // match the features its removal-and-reinsertion would produce. This powers
 // the HM26 hyperedge features of the Table 4 prediction study, where test
 // candidates are future (absent) hyperedges.
 func CountForNodeSet(g *hypergraph.Hypergraph, p projection.Projector, nodes []int32) Counts {
-	var out Counts
 	cand := normalizeNodes(nodes)
-	if len(cand) == 0 {
-		return out
-	}
 	// Neighborhood of the candidate: overlap with every edge of g that
 	// shares a node.
 	overlaps := make(map[int32]int32)
@@ -32,72 +29,13 @@ func CountForNodeSet(g *hypergraph.Hypergraph, p projection.Projector, nodes []i
 			overlaps[e]++
 		}
 	}
-	type nbr struct {
-		edge    int32
-		overlap int32
-	}
-	ns := make([]nbr, 0, len(overlaps))
+	ns := make([]projection.Neighbor, 0, len(overlaps))
 	for e, w := range overlaps {
-		if int(w) == len(cand) && g.EdgeSize(int(e)) == len(cand) {
-			continue // set-equal to the candidate
-		}
-		ns = append(ns, nbr{e, w})
+		ns = append(ns, projection.Neighbor{Edge: e, Overlap: w})
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].edge < ns[j].edge })
-
-	inN := func(e int32) (int32, bool) {
-		i := sort.Search(len(ns), func(i int) bool { return ns[i].edge >= e })
-		if i < len(ns) && ns[i].edge == e {
-			return ns[i].overlap, true
-		}
-		return 0, false
-	}
-	classifyCand := func(j, k, wcj, wck, wjk int32) int {
-		abc := 0
-		if wcj > 0 && wck > 0 && wjk > 0 {
-			for _, v := range cand {
-				if g.EdgeContains(int(j), v) && g.EdgeContains(int(k), v) {
-					abc++
-				}
-			}
-		}
-		v := motif.VennFromCardinalities(
-			len(cand), g.EdgeSize(int(j)), g.EdgeSize(int(k)),
-			int(wcj), int(wjk), int(wck), abc,
-		)
-		return motif.FromPattern(v.Pattern())
-	}
-
-	var njbuf []projection.Neighbor
-	for a := 0; a < len(ns); a++ {
-		j, wcj := ns[a].edge, ns[a].overlap
-		// Both neighbors of the candidate.
-		for b := a + 1; b < len(ns); b++ {
-			k, wck := ns[b].edge, ns[b].overlap
-			wjk := p.Overlap(j, k)
-			if id := classifyCand(j, k, wcj, wck, wjk); id != 0 {
-				out[id-1]++
-			}
-		}
-		// Open instances centered at j: k adjacent to j but not to the
-		// candidate.
-		njbuf = append(njbuf[:0], p.Neighbors(j)...)
-		for _, nb := range njbuf {
-			k := nb.Edge
-			if _, ok := inN(k); ok {
-				continue
-			}
-			// Skip edges set-equal to the candidate: they were filtered
-			// from ns (so inN misses them), but still appear as neighbors
-			// of j when the candidate is an existing edge.
-			if g.EdgeSize(int(k)) == len(cand) && equalsCandidate(g, int(k), cand) {
-				continue
-			}
-			if id := classifyCand(j, k, wcj, 0, nb.Overlap); id != 0 {
-				out[id-1]++
-			}
-		}
-	}
+	sort.Slice(ns, func(a, b int) bool { return ns[a].Edge < ns[b].Edge })
+	var out Counts
+	countContaining(g, p, cand, -1, ns, &out, &nbrBuffers{})
 	return out
 }
 
@@ -113,18 +51,4 @@ func normalizeNodes(nodes []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// equalsCandidate reports whether edge e of g equals the sorted candidate.
-func equalsCandidate(g *hypergraph.Hypergraph, e int, cand []int32) bool {
-	edge := g.Edge(e)
-	if len(edge) != len(cand) {
-		return false
-	}
-	for i := range edge {
-		if edge[i] != cand[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -25,24 +25,28 @@ func Classify(g *hypergraph.Hypergraph, i, j, k int32) int {
 
 // pairClass is the kernels' one classifier. It classifies the triples
 // {e_i, e_j, e_k} that share the pair {e_i, e_j}: an anchor and one
-// neighbour in the pair loop, a sampled hyperwedge, or the first two
-// members of an oriented triangle. Lemma 2's triple intersection of a
-// closed triple is |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per
-// pair, on the first closed triple that needs it, and each closed triple
-// then costs ω_ij membership probes of e_k.
+// neighbour in the pair loop, a sampled hyperedge or a candidate and one
+// neighbour in the walker, a sampled hyperwedge, or the first two members of
+// an oriented triangle. Lemma 2's triple intersection of a closed triple is
+// |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per pair, on the first
+// closed triple that needs it, and each closed triple then costs ω_ij
+// membership probes of e_k.
 type pairClass struct {
 	g          *hypergraph.Hypergraph
-	i, j       int32
+	ei         []int32 // e_i's nodes, ascending
+	j          int32
 	si, sj     int32 // |e_i|, |e_j|
 	wij        int32 // ω_ij
 	shared     []int32
 	haveShared bool
 }
 
-// reset points c at the pair {e_i, e_j} of g with overlap wij.
-func (c *pairClass) reset(g *hypergraph.Hypergraph, i, j, wij int32) {
-	c.g, c.i, c.j, c.wij = g, i, j, wij
-	c.si, c.sj = int32(g.EdgeSize(int(i))), int32(g.EdgeSize(int(j)))
+// reset points c at the pair {e_i, e_j} with overlap wij, where ei is the
+// node set of e_i (an edge of g, or a candidate that is not) and j is an
+// edge of g.
+func (c *pairClass) reset(g *hypergraph.Hypergraph, ei []int32, j, wij int32) {
+	c.g, c.ei, c.j, c.wij = g, ei, j, wij
+	c.si, c.sj = int32(len(ei)), int32(g.EdgeSize(int(j)))
 	c.haveShared = false
 }
 
@@ -52,7 +56,7 @@ func (c *pairClass) motif(k, wjk, wik int32) int {
 	var abc int32
 	if wjk > 0 && wik > 0 {
 		if !c.haveShared {
-			c.shared = intersect(c.shared[:0], c.g.Edge(int(c.i)), c.g.Edge(int(c.j)))
+			c.shared = intersect(c.shared[:0], c.ei, c.g.Edge(int(c.j)))
 			c.haveShared = true
 		}
 		abc = countMembers(c.shared, c.g.Edge(int(k)))

@@ -34,35 +34,13 @@ type Options struct {
 // binary search per pair (cost rest × log deg(j)).
 const mergeFactor = 8
 
-// kern bundles a counting run's inputs with the optional projector
-// capabilities the kernel exploits when present: cheapest-side overlap
-// probing and O(1) degrees (which also make Neighbors slices stable, the
-// precondition for holding N(e_j) across a merge walk).
+// kern bundles a pair-loop run's inputs with the projector's optional O(1)
+// degrees, which also make Neighbors slices stable: the precondition for
+// holding N(e_j) across a merge walk.
 type kern struct {
 	g   *hypergraph.Hypergraph
 	p   projection.Projector
-	ori orientedProjector // nil when p has no oriented overlap
-	deg degreeProjector   // nil when p has no O(1) degree
-}
-
-func newKern(g *hypergraph.Hypergraph, p projection.Projector) kern {
-	k := kern{g: g, p: p}
-	if o, ok := p.(orientedProjector); ok {
-		k.ori = o
-	}
-	if d, ok := p.(degreeProjector); ok {
-		k.deg = d
-	}
-	return k
-}
-
-// overlap returns ω(∧jk), probing the cheaper neighborhood when the
-// projector supports orientation.
-func (k *kern) overlap(j, kk int32) int32 {
-	if k.ori != nil {
-		return k.ori.OverlapOriented(j, kk)
-	}
-	return k.p.Overlap(j, kk)
+	deg degreeProjector // nil when p has no O(1) degree
 }
 
 // anchorPairs enumerates the instances anchored at hyperedge i per the
@@ -73,17 +51,18 @@ func (k *kern) overlap(j, kk int32) int32 {
 //
 // For each neighbor e_j, the remaining pairs {e_j, e_k} share the pair
 // {e_i, e_j}, so pc classifies them all from one e_i ∩ e_j, and they need
-// ω(∧jk). Two strategies: an overlap probe per pair (cheapest side first
-// when the projector is oriented), or — when e_j's own neighborhood is small
+// ω(∧jk). Two strategies: an overlap probe per pair (Projected.Overlap
+// probes the cheaper side), or — when e_j's own neighborhood is small
 // relative to the remaining pairs and the projector hands out stable sorted
 // slices — one merge-style walk of N(e_j) against the rest of the anchor
 // neighborhood, which visits each side once instead of paying a search per
 // pair.
 func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, visit visitFunc) []projection.Neighbor {
 	ns := append(buf[:0], k.p.Neighbors(i)...)
+	ei := k.g.Edge(int(i))
 	for a := 0; a+1 < len(ns); a++ {
 		j, wij := ns[a].Edge, ns[a].Overlap
-		pc.reset(k.g, i, j, wij)
+		pc.reset(k.g, ei, j, wij)
 		rest := ns[a+1:]
 		if k.deg != nil && k.deg.Degree(j) < mergeFactor*len(rest) {
 			adjJ := k.p.Neighbors(j)
@@ -108,7 +87,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, vi
 		}
 		for b := range rest {
 			kk, wik := rest[b].Edge, rest[b].Overlap
-			wjk := k.overlap(j, kk)
+			wjk := k.p.Overlap(j, kk)
 			if wjk != 0 && (i > j || i > kk) {
 				continue
 			}
@@ -137,30 +116,32 @@ func (o Options) workers() int {
 // visitFunc receives one classified instance {e_i, e_j, e_k} of motif id.
 type visitFunc func(i, j, k int32, id int)
 
-// anchorFunc processes one anchor hyperedge on a worker's goroutine.
+// anchorFunc processes one anchor on a worker's goroutine.
 type anchorFunc func(i int32)
 
-// run is the one anchor loop behind every exact path: the oriented counter
-// and the Algorithm-2 pair loop (counting, per-edge counting and
-// enumeration) differ only in what a worker does with each anchor. Anchor
-// hyperedges are handed to workers through an atomic chunk cursor over
-// ranges sized by estimated pair work (C(deg, 2) prefix sums when the
-// projector reports degrees), so a worker that lands on a projected-graph
-// hub does not serialize the run the way a static stride partition would.
-// setup, which may be nil, runs once before the workers start and is timed
-// with the scheduler as the Setup phase. newWorker is called once on each
-// worker's goroutine and returns the function that worker feeds its anchors
-// to; at workers=1 anchors are visited in ascending order. merge (which may
-// be nil) folds the per-worker results once every worker has finished.
+// run is the one anchor loop behind every counting path: the oriented
+// counter, the Algorithm-2 pair loop (counting, per-edge counting and
+// enumeration) and both samplers differ only in what a worker does with each
+// anchor. An anchor is a hyperedge on the exact paths, and a block of
+// samples on the sampling paths (see parallelSamples). Anchors [0, n) are
+// handed to workers through an atomic chunk cursor over ranges sized by
+// estimated pair work when p reports degrees (C(deg, 2) prefix sums; p is
+// nil for sample blocks, which cost alike), so a worker that lands on a
+// projected-graph hub does not serialize the run the way a static stride
+// partition would. setup, which may be nil, runs once before the workers
+// start and is timed with the scheduler as the Setup phase. newWorker is
+// called once on each worker's goroutine and returns the function that
+// worker feeds its anchors to; at workers=1 anchors are visited in
+// ascending order. merge (which may be nil) folds the per-worker results
+// once every worker has finished.
 //
 // If ctx is cancelled the run stops at the next anchor boundary on every
 // worker and returns the cancellation cause without merging. The returned
 // KernelStats describe the run's scheduling and phase timings whether or not
 // it completed. Progress, when set, is reported every progressStride anchors
 // and once with done == total after a successful merge.
-func run(ctx context.Context, p projection.Projector, opts Options, setup func(), newWorker func(w int) anchorFunc, merge func()) (KernelStats, error) {
+func run(ctx context.Context, p projection.Projector, n int, opts Options, setup func(), newWorker func(w int) anchorFunc, merge func()) (KernelStats, error) {
 	workers := opts.workers()
-	n := p.NumEdges()
 	stats := KernelStats{Workers: workers}
 
 	setupStart := time.Now()
@@ -237,8 +218,9 @@ func run(ctx context.Context, p projection.Projector, opts Options, setup func()
 // walks every pair of each anchor's neighbors with its own pairClass and
 // feeds the valid instances to the visitFunc newVisit returns for it.
 func runPairs(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options, newVisit func(w int) visitFunc, merge func()) (KernelStats, error) {
-	k := newKern(g, p)
-	return run(ctx, p, opts, nil, func(w int) anchorFunc {
+	k := kern{g: g, p: p}
+	k.deg, _ = p.(degreeProjector)
+	return run(ctx, p, p.NumEdges(), opts, nil, func(w int) anchorFunc {
 		visit := newVisit(w)
 		var pc pairClass
 		var ns []projection.Neighbor

@@ -2,10 +2,11 @@ package mochy
 
 // The counting oracle: every exact path — the oriented counter behind
 // CountExactOpts, the Algorithm-2 pair loop (CountPairs and the memoized
-// projector), PerEdgeCounts and Enumerate — must agree with brute-force
-// Classify over all O(|E|^3) triples, on seeded graphs of four families.
+// projector), PerEdgeCounts, Enumerate, and CountForNodeSet on every edge —
+// must agree with brute-force Classify over all O(|E|^3) triples, on seeded
+// graphs of four families.
 //
-//	go test -count=20 -cpu 1,2,8 -run Oracle ./internal/mochy
+//	go test -count=20 -cpu 1,2,8 -run 'Oracle|Sampl|CountForNodeSet' ./internal/mochy
 //	go test -run '^$' -fuzz FuzzCountOracle -fuzztime 20s ./internal/mochy
 
 import (
@@ -160,6 +161,20 @@ func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget in
 		if got, _, err := CountPairs(ctx, g, p, opts); err != nil || got != want.total {
 			t.Fatalf("%s: CountPairs(workers=%d) = %v, %v; brute force %v",
 				label, workers, got.String(), err, want.total.String())
+		}
+	}
+	// An edge's own node set as the candidate: edges set-equal to it, the
+	// edge itself included, form no valid instance, so the candidate counts
+	// are the edge's brute-force row.
+	for _, pr := range []projection.Projector{p, m} {
+		for x := range want.per {
+			got := CountForNodeSet(g, pr, g.Edge(x))
+			for col, n := range want.per[x] {
+				if got[col] != float64(n) {
+					t.Fatalf("%s: CountForNodeSet(%T, edge %d) motif %d = %v, brute force %d",
+						label, pr, x, col+1, got[col], n)
+				}
+			}
 		}
 	}
 	for _, workers := range []int{1, 3} {

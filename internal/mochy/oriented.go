@@ -173,10 +173,11 @@ func (w *orientedWorker) closeTriangles(u int32) {
 	for _, nb := range out {
 		w.marks[nb.Edge] = mark{anchor: u, overlap: nb.Overlap}
 	}
-	su := int32(w.g.EdgeSize(int(u)))
+	eu := w.g.Edge(int(u))
+	su := int32(len(eu))
 	for _, a := range out {
 		v, wuv := a.Edge, a.Overlap
-		w.pc.reset(w.g, u, v, wuv)
+		w.pc.reset(w.g, eu, v, wuv)
 		sv := w.pc.sj
 		for _, b := range w.o.outOf(v) {
 			m := w.marks[b.Edge]
@@ -211,7 +212,7 @@ func countOriented(ctx context.Context, g *hypergraph.Hypergraph, p projection.P
 	var o orientation
 	workers := make([]*orientedWorker, opts.workers())
 	var total Counts
-	stats, err := run(ctx, p, opts, func() { o = orient(p, dp) }, func(x int) anchorFunc {
+	stats, err := run(ctx, p, p.NumEdges(), opts, func() { o = orient(p, dp) }, func(x int) anchorFunc {
 		w := newOrientedWorker(g, p, &o)
 		workers[x] = w
 		return func(u int32) {

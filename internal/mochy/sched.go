@@ -27,19 +27,14 @@ import (
 // slack that a worker stuck on a hub gives up the rest of the anchor space.
 const chunksPerWorker = 16
 
-// degreeProjector is the optional projector capability the cost-aware
-// scheduler, the cheapest-side pair ordering and the choice of the oriented
-// counter key off. Projected implements it in O(1); the memoized projector
-// deliberately does not (computing a degree there costs a full
-// neighborhood), so it falls back to uniform chunks and the pair loop.
+// degreeProjector is the one optional projector capability the kernel
+// probes: the cost-aware scheduler, the pair loop's merge walk and the
+// choice of the oriented counter key off it. Projected implements it in
+// O(1); the memoized projector deliberately does not (computing a degree
+// there costs a full neighborhood), so it falls back to uniform chunks and
+// the pair loop.
 type degreeProjector interface {
 	Degree(e int32) int
-}
-
-// orientedProjector marks projectors whose overlap lookup can probe the
-// cheaper side (see projection.Projected.OverlapOriented).
-type orientedProjector interface {
-	OverlapOriented(i, j int32) int32
 }
 
 // anchorCost estimates the pair work anchored at a hyperedge of projected
@@ -88,9 +83,9 @@ type chunkSched struct {
 
 // newChunkSched cuts the anchor space [0, n) into roughly cost-equal chunks
 // for the given worker count. With a degree-reporting projector the cut
-// points come from prefix sums of per-anchor pair-work estimates; otherwise
-// chunks hold equal anchor counts (still dynamic — grabbing stays adaptive
-// even when sizing cannot be).
+// points come from prefix sums of per-anchor pair-work estimates; otherwise,
+// p nil included, chunks hold equal anchor counts (still dynamic — grabbing
+// stays adaptive even when sizing cannot be).
 func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s := &chunkSched{}
 	if n <= 0 {

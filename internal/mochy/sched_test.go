@@ -3,6 +3,7 @@ package mochy
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,20 +145,42 @@ func TestCountExactOptsCancellation(t *testing.T) {
 
 // TestSamplingDeterministicAcrossWorkers asserts the block-scheduling
 // guarantee: RNG streams attach to sample blocks, not workers, so a fixed
-// seed reproduces the estimate bit-for-bit at every worker count.
+// seed reproduces the estimate bit-for-bit at every worker count. The sample
+// counts cover one partial block, exactly one block, one sample past it, and
+// several blocks.
 func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := skewedRandomHypergraph(rng, 30, 70)
 	p := projection.Build(g)
-	edgeBase := CountEdgeSamples(g, p, 300, 99, 1)
-	wedgeBase := CountWedgeSamples(g, p, p, 300, 99, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := CountEdgeSamples(g, p, 300, 99, workers); got != edgeBase {
-			t.Fatalf("edge sampling workers=%d: %v != workers=1 %v", workers, got.String(), edgeBase.String())
+	for _, n := range []int{1, sampleBlock, sampleBlock + 1, 300} {
+		edgeBase := CountEdgeSamples(g, p, n, 99, 1)
+		wedgeBase := CountWedgeSamples(g, p, p, n, 99, 1)
+		if edgeBase.Total() == 0 || wedgeBase.Total() == 0 {
+			t.Fatalf("n=%d: no instance sampled (edge %v, wedge %v)", n, edgeBase.String(), wedgeBase.String())
 		}
-		if got := CountWedgeSamples(g, p, p, 300, 99, workers); got != wedgeBase {
-			t.Fatalf("wedge sampling workers=%d: %v != workers=1 %v", workers, got.String(), wedgeBase.String())
+		for _, workers := range []int{2, 3, 8} {
+			if got := CountEdgeSamples(g, p, n, 99, workers); got != edgeBase {
+				t.Fatalf("edge sampling n=%d workers=%d: %v != workers=1 %v", n, workers, got.String(), edgeBase.String())
+			}
+			if got := CountWedgeSamples(g, p, p, n, 99, workers); got != wedgeBase {
+				t.Fatalf("wedge sampling n=%d workers=%d: %v != workers=1 %v", n, workers, got.String(), wedgeBase.String())
+			}
 		}
+	}
+}
+
+// TestSamplingRejectsUnschedulableBudget: a budget whose sample blocks do
+// not fit the anchor loop's int32 anchor space is an error, not a panic or a
+// silently truncated run.
+func TestSamplingRejectsUnschedulableBudget(t *testing.T) {
+	g := paperExample()
+	p := projection.Build(g)
+	ctx := context.Background()
+	if c, err := CountEdgeSamplesCtx(ctx, g, p, math.MaxInt64, 1, 2); err == nil || c != (Counts{}) {
+		t.Fatalf("CountEdgeSamplesCtx(MaxInt64) = %v, %v; want an error", c.String(), err)
+	}
+	if c, err := CountWedgeSamplesCtx(ctx, g, p, p, math.MaxInt64, 1, 2); err == nil || c != (Counts{}) {
+		t.Fatalf("CountWedgeSamplesCtx(MaxInt64) = %v, %v; want an error", c.String(), err)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"mochy/api"
@@ -40,6 +41,11 @@ const maxTopK = 1024
 // maxRandomizations bounds a null-model ensemble (and so a profile): each
 // copy costs one full exact count.
 const maxRandomizations = 64
+
+// maxSamples bounds a sampling budget inside what the kernel can schedule
+// (its int32 anchor space holds blocks of samples), so an oversized budget
+// is a 400 before the job starts rather than a failed job.
+const maxSamples = math.MaxInt32
 
 // Stage is one validated node of a plan.
 type Stage struct {
@@ -215,8 +221,8 @@ func check(params any) error {
 		switch p.Algorithm {
 		case api.AlgoExact:
 		case api.AlgoEdge, api.AlgoWedge:
-			if p.Samples <= 0 {
-				return fmt.Errorf("samples must be positive for %s", p.Algorithm)
+			if p.Samples <= 0 || p.Samples > maxSamples {
+				return fmt.Errorf("samples must be positive and at most %d for %s", maxSamples, p.Algorithm)
 			}
 		default:
 			return fmt.Errorf("unknown algorithm %q (want %s, %s or %s)",

@@ -50,6 +50,7 @@ func TestParseRejections(t *testing.T) {
 		{"malformed params", []api.PipelineStage{stage("", "count", `{"algorithm":`)}, 0, "invalid params"},
 		{"count unknown algorithm", []api.PipelineStage{stage("", "count", `{"algorithm": "psychic"}`)}, 0, "unknown algorithm"},
 		{"count sampling without samples", []api.PipelineStage{stage("", "count", `{"algorithm": "edge-sample"}`)}, 0, "samples must be positive"},
+		{"count samples past 2^31-1", []api.PipelineStage{stage("", "count", `{"algorithm": "wedge-sample", "samples": 2147483648}`)}, 0, "at most 2147483647"},
 		{"null model unknown", []api.PipelineStage{stage("", "null_model", `{"model": "uniform"}`)}, 0, "unknown null model"},
 		{"chung-lu rejects swaps", []api.PipelineStage{stage("", "null_model", `{"swaps_per_incidence": 5}`)}, 0, "applies only to edge-swap"},
 		{"too many randomizations", []api.PipelineStage{stage("", "null_model", `{"randomizations": 1000}`)}, 0, "randomizations must be in"},

@@ -137,11 +137,8 @@ func (m *Memoized) Overlap(i, j int32) int32 {
 	return int32(m.g.IntersectionSize(int(i), int(j)))
 }
 
-// OverlapOriented returns ω(∧ij) like Overlap. The memoized projector has no
-// O(1) degrees to orient by, but Overlap already prefers whichever endpoint's
-// neighborhood is cached, which is the analogous cheapest-available-side
-// rule; the method exists so kernels written against the oriented capability
-// work unchanged on the on-the-fly configuration.
+// OverlapOriented is Overlap, which already probes whichever endpoint's
+// neighborhood is cached.
 func (m *Memoized) OverlapOriented(i, j int32) int32 { return m.Overlap(i, j) }
 
 // touch records a use of cached edge e for the LRU policy.

@@ -87,23 +87,19 @@ func (p *Projected) Neighbors(e int32) []Neighbor { return p.adj[e] }
 // Degree returns |N_{e}|, the degree of hyperedge e in G¯.
 func (p *Projected) Degree(e int32) int { return len(p.adj[e]) }
 
-// Overlap returns ω(∧ij), or 0 if not adjacent.
+// Overlap returns ω(∧ij), or 0 if not adjacent. It binary-searches the
+// smaller of the two neighborhoods, so a probe between a projected-graph hub
+// and a hyperedge with a handful of neighbors costs the small side's log.
 func (p *Projected) Overlap(i, j int32) int32 {
-	return lookupOverlap(p.adj[i], j)
-}
-
-// OverlapOriented returns ω(∧ij) like Overlap, but probes the smaller of the
-// two neighborhoods — the cheapest-side-first ordering the counting kernels
-// use. Overlap always binary-searches N(i); when i is a projected-graph hub
-// that search pays log|N(i)| per probe even though the other endpoint may
-// have a handful of neighbors.
-func (p *Projected) OverlapOriented(i, j int32) int32 {
 	ni, nj := p.adj[i], p.adj[j]
 	if len(nj) < len(ni) {
 		return lookupOverlap(nj, i)
 	}
 	return lookupOverlap(ni, j)
 }
+
+// OverlapOriented is Overlap, which already probes the cheaper side.
+func (p *Projected) OverlapOriented(i, j int32) int32 { return p.Overlap(i, j) }
 
 // NumWedges returns |∧|.
 func (p *Projected) NumWedges() int64 { return p.numWedges }

@@ -76,6 +76,9 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 			if got := p.Overlap(int32(i), int32(j)); got != w {
 				t.Fatalf("Overlap(%d,%d) = %d, want %d", i, j, got, w)
 			}
+			if got := p.Overlap(int32(j), int32(i)); got != w {
+				t.Fatalf("Overlap(%d,%d) = %d, want %d", j, i, got, w)
+			}
 		}
 	}
 	if p.NumWedges() != wedges {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -373,6 +374,10 @@ func TestCountValidation(t *testing.T) {
 	resp, _ = runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "edge-sample"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing samples: HTTP %d, want 400", resp.StatusCode)
+	}
+	resp, _ = runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "wedge-sample", "samples": math.MaxInt64})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("samples past 2^31-1: HTTP %d, want 400", resp.StatusCode)
 	}
 	resp, err := http.Get(ts.URL + "/v1/graphs/g/count")
 	if err != nil {

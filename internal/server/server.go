@@ -569,9 +569,9 @@ func (s *Server) recordKernelStats(ctx context.Context, stats counting.KernelSta
 // stagedProgress wraps an exact count's progress callback to leave the
 // enumeration's quartile boundaries behind as retroactive spans: "which
 // quarter of the anchor space was slow" is visible per trace without paying
-// a span per progress callback. The kernel serializes progress callbacks,
-// but the wrapper stays mutex-guarded for safety, not speed — it only runs
-// on traced exact counts that already report progress.
+// a span per progress callback. The kernel calls Options.Progress from
+// every worker at once, so the mutex guards the quartile state; it only
+// runs on traced exact counts that already report progress.
 func (s *Server) stagedProgress(ctx context.Context, inner func(done, total int)) func(done, total int) {
 	if obs.TraceID(ctx) == "" {
 		return inner

@@ -34,13 +34,13 @@ type Options struct {
 // binary search per pair (cost rest × log deg(j)).
 const mergeFactor = 8
 
-// kern bundles a pair-loop run's inputs with the projector's optional O(1)
-// degrees, which also make Neighbors slices stable: the precondition for
+// kern bundles a pair-loop run's inputs. proj is p when it is materialized,
+// whose O(1) degrees and stable Neighbors slices are the preconditions for
 // holding N(e_j) across a merge walk.
 type kern struct {
-	g   *hypergraph.Hypergraph
-	p   projection.Projector
-	deg degreeProjector // nil when p has no O(1) degree
+	g    *hypergraph.Hypergraph
+	p    projection.Projector
+	proj *projection.Projected // nil for the memoized projector
 }
 
 // anchorPairs enumerates the instances anchored at hyperedge i per the
@@ -64,7 +64,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, vi
 		j, wij := ns[a].Edge, ns[a].Overlap
 		pc.reset(k.g, ei, j, wij)
 		rest := ns[a+1:]
-		if k.deg != nil && k.deg.Degree(j) < mergeFactor*len(rest) {
+		if k.proj != nil && k.proj.Degree(j) < mergeFactor*len(rest) {
 			adjJ := k.p.Neighbors(j)
 			m := 0
 			for b := range rest {
@@ -125,10 +125,10 @@ type anchorFunc func(i int32)
 // anchor. An anchor is a hyperedge on the exact paths, and a block of
 // samples on the sampling paths (see parallelSamples). Anchors [0, n) are
 // handed to workers through an atomic chunk cursor over ranges sized by
-// estimated pair work when p reports degrees (C(deg, 2) prefix sums; p is
-// nil for sample blocks, which cost alike), so a worker that lands on a
-// projected-graph hub does not serialize the run the way a static stride
-// partition would. setup, which may be nil, runs once before the workers
+// estimated pair work when p is a *projection.Projected (C(deg, 2) prefix
+// sums; p is nil for sample blocks, which cost alike), so a worker that
+// lands on a projected-graph hub does not serialize the run the way a static
+// stride partition would. setup, which may be nil, runs once before the workers
 // start and is timed with the scheduler as the Setup phase. newWorker is
 // called once on each worker's goroutine and returns the function that
 // worker feeds its anchors to; at workers=1 anchors are visited in
@@ -219,7 +219,7 @@ func run(ctx context.Context, p projection.Projector, n int, opts Options, setup
 // feeds the valid instances to the visitFunc newVisit returns for it.
 func runPairs(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options, newVisit func(w int) visitFunc, merge func()) (KernelStats, error) {
 	k := kern{g: g, p: p}
-	k.deg, _ = p.(degreeProjector)
+	k.proj, _ = p.(*projection.Projected)
 	return run(ctx, p, p.NumEdges(), opts, nil, func(w int) anchorFunc {
 		visit := newVisit(w)
 		var pc pairClass
@@ -239,7 +239,7 @@ func CountExact(g *hypergraph.Hypergraph, p projection.Projector, workers int) C
 // the shared anchor loop (see run). Which algorithm runs depends on the
 // projector:
 //
-//   - With O(1) degrees (*projection.Projected) it runs the oriented counter
+//   - On a materialized *projection.Projected it runs the oriented counter
 //     (see countOriented): open instances come from a per-anchor histogram
 //     of N(e_i), and closed ones are listed once each as degree-ordered
 //     triangles of the projected graph. It never visits an open triple. Its
@@ -252,8 +252,8 @@ func CountExact(g *hypergraph.Hypergraph, p projection.Projector, workers int) C
 // identical for every worker count and both algorithms. On cancellation the
 // returned Counts are zero and the error is the cause.
 func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options) (Counts, KernelStats, error) {
-	if dp, ok := p.(degreeProjector); ok {
-		return countOriented(ctx, g, p, dp, opts)
+	if pp, ok := p.(*projection.Projected); ok {
+		return countOriented(ctx, g, pp, opts)
 	}
 	return CountPairs(ctx, g, p, opts)
 }
@@ -263,7 +263,7 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 // instance {e_i, e_j, e_k} is counted once — immediately if e_j and e_k are
 // disjoint (open motifs, counted at their center), and only from the
 // smallest-ID member if they overlap (closed motifs). CountExactOpts runs it
-// on projectors without O(1) degrees; the experiments time it to keep the
+// on the memoized projector; the experiments time it to keep the
 // paper's speed ratios comparable. Scheduling, cancellation, progress and
 // KernelStats behave as in CountExactOpts.
 func CountPairs(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options) (Counts, KernelStats, error) {

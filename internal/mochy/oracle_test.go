@@ -16,6 +16,7 @@ import (
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
 
 // oracleFamilies are the graph shapes the oracle draws from, each built
@@ -36,73 +37,13 @@ var oracleFamilies = []struct {
 	{"skewed", func(rng *rand.Rand) *hypergraph.Hypergraph {
 		return skewedRandomHypergraph(rng, 30+rng.Intn(30), 40+rng.Intn(40))
 	}},
-	{"duplicates", duplicateHypergraph},
-	{"singletons", singletonHypergraph},
+	{"duplicates", testutil.DuplicateHypergraph},
+	{"singletons", testutil.SingletonHypergraph},
 }
 
 // oracleGraph builds the oracle input of one family from a seed.
 func oracleGraph(family int, seed int64) *hypergraph.Hypergraph {
 	return oracleFamilies[family].build(rand.New(rand.NewSource(seed)))
-}
-
-// duplicateHypergraph draws edges of which about a quarter repeat an earlier
-// edge verbatim and another quarter are non-empty subsets of one.
-func duplicateHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
-	nodes := 12 + rng.Intn(12)
-	b := hypergraph.NewBuilder(nodes).KeepDuplicates()
-	var drawn [][]int32
-	for i, n := 0, 25+rng.Intn(20); i < n; i++ {
-		var e []int32
-		switch r := rng.Intn(4); {
-		case r == 0 && len(drawn) > 0:
-			e = drawn[rng.Intn(len(drawn))]
-		case r == 1 && len(drawn) > 0:
-			src := drawn[rng.Intn(len(drawn))]
-			for _, v := range src {
-				if rng.Intn(2) == 0 {
-					e = append(e, v)
-				}
-			}
-			if len(e) == 0 {
-				e = src[:1]
-			}
-		default:
-			e = make([]int32, 1+rng.Intn(5))
-			for j := range e {
-				e[j] = int32(rng.Intn(nodes))
-			}
-		}
-		drawn = append(drawn, e)
-		b.AddEdge(e)
-	}
-	return mustBuild(b)
-}
-
-// singletonHypergraph mixes single-node edges with edges of 2–4 nodes over
-// a small node set.
-func singletonHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
-	nodes := 8 + rng.Intn(8)
-	b := hypergraph.NewBuilder(nodes)
-	for i, n := 0, 25+rng.Intn(15); i < n; i++ {
-		size := 1
-		if rng.Intn(2) == 0 {
-			size = 2 + rng.Intn(3)
-		}
-		e := make([]int32, size)
-		for j := range e {
-			e[j] = int32(rng.Intn(nodes))
-		}
-		b.AddEdge(e)
-	}
-	return mustBuild(b)
-}
-
-func mustBuild(b *hypergraph.Builder) *hypergraph.Hypergraph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // bruteForceResult is the oracle's reference: aggregate counts, per-edge

@@ -1,9 +1,9 @@
 package mochy
 
-// The oriented exact counter: CountExactOpts on projectors with O(1)
-// degrees. Algorithm 2 visits every pair of an anchor's neighbors, and each
-// closed triple is probed from all three of its members. This counter visits
-// no open triple and lists each closed triple once:
+// The oriented exact counter: CountExactOpts on a materialized
+// *projection.Projected. Algorithm 2 visits every pair of an anchor's
+// neighbors, and each closed triple is probed from all three of its members.
+// This counter visits no open triple and lists each closed triple once:
 //
 //   - Open triples. At anchor e_i, a pair {e_j, e_k} of neighbors that is
 //     open (ω_jk = 0) has its motif fixed by three bits: whether e_i keeps
@@ -61,16 +61,13 @@ type orientation struct {
 }
 
 // orient builds the orientation of p's projected graph.
-func orient(p projection.Projector, dp degreeProjector) orientation {
+func orient(p *projection.Projected) orientation {
 	n := p.NumEdges()
-	deg := make([]int, n)
-	for u := range deg {
-		deg[u] = dp.Degree(int32(u))
-	}
 	o := orientation{off: make([]int, n+1), out: make([]projection.Neighbor, 0, p.NumWedges())}
-	for u := 0; u < n; u++ {
-		for _, nb := range p.Neighbors(int32(u)) {
-			if v := int(nb.Edge); deg[v] > deg[u] || (deg[v] == deg[u] && v > u) {
+	for u := int32(0); int(u) < n; u++ {
+		du := p.Degree(u)
+		for _, nb := range p.Neighbors(u) {
+			if dv := p.Degree(nb.Edge); dv > du || (dv == du && nb.Edge > u) {
 				o.out = append(o.out, nb)
 			}
 		}
@@ -90,7 +87,7 @@ type mark struct{ anchor, overlap int32 }
 // orientedWorker is one worker's state of the oriented counter.
 type orientedWorker struct {
 	g *hypergraph.Hypergraph
-	p projection.Projector
+	p *projection.Projected
 	o *orientation
 	// marks[w] is stamped while the worker lists the triangles of the
 	// anchor: 8·|E| bytes per worker.
@@ -105,7 +102,7 @@ type orientedWorker struct {
 	closed [motif.Count]int64
 }
 
-func newOrientedWorker(g *hypergraph.Hypergraph, p projection.Projector, o *orientation) *orientedWorker {
+func newOrientedWorker(g *hypergraph.Hypergraph, p *projection.Projected, o *orientation) *orientedWorker {
 	w := &orientedWorker{g: g, p: p, o: o, marks: make([]mark, g.NumEdges())}
 	for x := range w.marks {
 		w.marks[x].anchor = -1
@@ -208,11 +205,11 @@ func b2i(b bool) int {
 // runs both passes per anchor, so chunks, cancellation, progress and
 // KernelStats behave as for the pair loop; orienting the projected graph is
 // part of the Setup phase.
-func countOriented(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, dp degreeProjector, opts Options) (Counts, KernelStats, error) {
+func countOriented(ctx context.Context, g *hypergraph.Hypergraph, p *projection.Projected, opts Options) (Counts, KernelStats, error) {
 	var o orientation
 	workers := make([]*orientedWorker, opts.workers())
 	var total Counts
-	stats, err := run(ctx, p, p.NumEdges(), opts, func() { o = orient(p, dp) }, func(x int) anchorFunc {
+	stats, err := run(ctx, p, p.NumEdges(), opts, func() { o = orient(p) }, func(x int) anchorFunc {
 		w := newOrientedWorker(g, p, &o)
 		workers[x] = w
 		return func(u int32) {

@@ -9,10 +9,9 @@ package mochy
 // while the others drain their cheap strides and idle. The chunkSched here
 // replaces the stride with an atomic chunk cursor: anchors are pre-cut into
 // contiguous ranges of roughly equal *estimated pair work* (prefix sums of
-// C(deg, 2) when the projector can report degrees in O(1)), and workers grab
-// the next range whenever they finish one. Hub-heavy chunks shrink to a few
-// anchors, so the tail of the run stops tracking the single hottest
-// hyperedge.
+// C(deg, 2) over a materialized projected graph), and workers grab the next
+// range whenever they finish one. Hub-heavy chunks shrink to a few anchors,
+// so the tail of the run stops tracking the single hottest hyperedge.
 
 import (
 	"sync/atomic"
@@ -26,16 +25,6 @@ import (
 // 16 keeps the cursor cold (one atomic add per chunk) while leaving enough
 // slack that a worker stuck on a hub gives up the rest of the anchor space.
 const chunksPerWorker = 16
-
-// degreeProjector is the one optional projector capability the kernel
-// probes: the cost-aware scheduler, the pair loop's merge walk and the
-// choice of the oriented counter key off it. Projected implements it in
-// O(1); the memoized projector deliberately does not (computing a degree
-// there costs a full neighborhood), so it falls back to uniform chunks and
-// the pair loop.
-type degreeProjector interface {
-	Degree(e int32) int
-}
 
 // anchorCost estimates the pair work anchored at a hyperedge of projected
 // degree d: the C(d, 2) candidate pairs, plus one unit so empty anchors
@@ -82,10 +71,12 @@ type chunkSched struct {
 }
 
 // newChunkSched cuts the anchor space [0, n) into roughly cost-equal chunks
-// for the given worker count. With a degree-reporting projector the cut
-// points come from prefix sums of per-anchor pair-work estimates; otherwise,
-// p nil included, chunks hold equal anchor counts (still dynamic — grabbing
-// stays adaptive even when sizing cannot be).
+// for the given worker count. Over a materialized *projection.Projected, with
+// its O(1) degrees, the cut points come from prefix sums of per-anchor
+// pair-work estimates; otherwise, p nil included, chunks hold equal anchor
+// counts (still dynamic — grabbing stays adaptive even when sizing cannot
+// be). The memoized projector takes the uniform path on purpose: a degree
+// there costs a full neighborhood.
 func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s := &chunkSched{}
 	if n <= 0 {
@@ -99,7 +90,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	if workers <= 1 {
 		target = 1
 	}
-	dp, ok := p.(degreeProjector)
+	pp, ok := p.(*projection.Projected)
 	if !ok || target == 1 {
 		// Uniform anchor ranges: ceil(n/target) anchors per chunk.
 		per := (n + target - 1) / target
@@ -112,7 +103,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s.costAware = true
 	var total int64
 	for i := 0; i < n; i++ {
-		total += anchorCost(dp.Degree(int32(i)))
+		total += anchorCost(pp.Degree(int32(i)))
 	}
 	perChunk := total / int64(target)
 	if perChunk < 1 {
@@ -121,7 +112,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s.bounds = append(s.bounds, 0)
 	var acc int64
 	for i := 0; i < n; i++ {
-		acc += anchorCost(dp.Degree(int32(i)))
+		acc += anchorCost(pp.Degree(int32(i)))
 		if acc >= perChunk && i+1 < n {
 			s.bounds = append(s.bounds, int32(i+1))
 			acc = 0

@@ -4,12 +4,15 @@
 // ω(∧ij) = |e_i ∩ e_j|.
 //
 // The package offers two implementations of the Projector interface: the
-// fully materialized Projected (Algorithm 1) and the on-the-fly Memoized
+// fully materialized Projected (Algorithm 1), stored flat as per-hyperedge
+// offsets into one array of 2|∧| neighbors, and the on-the-fly Memoized
 // projector of Section 3.4, which computes neighborhoods lazily under a
 // memory budget with configurable retention policies.
 package projection
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"mochy/internal/hypergraph"
@@ -38,60 +41,114 @@ type Projector interface {
 	NumWedges() int64
 }
 
-// Projected is the fully materialized projected graph.
+// Projected is the fully materialized projected graph, stored flat: the
+// neighborhood of hyperedge e is nbrs[off[e]:off[e+1]], sorted by Edge. Each
+// hyperwedge owns one entry in each of its two rows, so nbrs holds 2|∧|
+// entries, and off[e] is also the rank of N_e's first entry among them,
+// which WedgeAt searches. The layout costs 8·(|E|+1) + 16·|∧| bytes, with no
+// per-row slice headers.
 type Projected struct {
-	adj       [][]Neighbor
-	numWedges int64
-	// degPrefix[i] is the cumulative number of adjacency entries of edges
-	// < i; used for uniform hyperwedge sampling.
-	degPrefix []int64
+	off  []int64
+	nbrs []Neighbor
 }
 
 // Build materializes the projected graph of g (Algorithm 1). Time is
 // O(Σ_{∧ij} |e_i ∩ e_j|) as in Lemma 1; space is O(|E| + |∧|).
+//
+// It takes two passes over the pairs i < j, each found once from anchor e_i
+// as degrees finds them. The first (degrees) counts every row's degree, and
+// the prefix sums of the counts size the one backing array. The second
+// tallies the anchor's overlaps in place in its upper part (neighbors above
+// i), sorts that part, and copies each entry into the row of the other end.
+// Anchors run in ascending order, so those copies fill every row's lower
+// part already sorted, and it is complete by the time the row is an anchor.
 func Build(g *hypergraph.Hypergraph) *Projected {
 	n := g.NumEdges()
-	p := &Projected{adj: make([][]Neighbor, n)}
-	counts := make(map[int32]int32)
+	off := make([]int64, n+1)
+	degrees(g, off[1:])
+	for e := 0; e < n; e++ {
+		off[e+1] += off[e]
+	}
+	nbrs := make([]Neighbor, off[n])
+	// next[e] is where the next lower neighbor of e goes.
+	next := make([]int64, n)
+	copy(next, off)
+	// slot[j] is the position of j's entry in the current anchor's upper
+	// part; earlier anchors leave positions below it.
+	slot := make([]int64, n)
+	for j := range slot {
+		slot[j] = -1
+	}
 	for i := 0; i < n; i++ {
-		clear(counts)
+		lo, end := next[i], next[i]
 		for _, v := range g.Edge(i) {
-			for _, j := range g.IncidentEdges(v) {
-				if int(j) > i {
-					counts[j]++
+			inc := g.IncidentEdges(v)
+			for k := len(inc) - 1; inc[k] > int32(i); k-- {
+				j := inc[k]
+				if s := slot[j]; s >= lo {
+					nbrs[s].Overlap++
+					continue
+				}
+				slot[j] = end
+				nbrs[end] = Neighbor{Edge: j, Overlap: 1}
+				end++
+			}
+		}
+		upper := nbrs[lo:end]
+		sortNeighbors(upper)
+		for _, nb := range upper {
+			nbrs[next[nb.Edge]] = Neighbor{Edge: int32(i), Overlap: nb.Overlap}
+			next[nb.Edge]++
+		}
+	}
+	return &Projected{off: off, nbrs: nbrs}
+}
+
+// degrees adds every hyperedge's degree in G¯ to deg[e] and returns |∧|. It
+// finds each pair i < j once, from anchor e_i, by walking the incidence list
+// of every node of e_i from its end down to i; a stamp per hyperedge skips
+// the j already found through another shared node.
+func degrees(g *hypergraph.Hypergraph, deg []int64) int64 {
+	n := g.NumEdges()
+	// stamp[j] = i+1 once anchor i has found j.
+	stamp := make([]int32, n)
+	var wedges int64
+	for i := 0; i < n; i++ {
+		var upper int64
+		for _, v := range g.Edge(i) {
+			inc := g.IncidentEdges(v)
+			for k := len(inc) - 1; inc[k] > int32(i); k-- {
+				if j := inc[k]; stamp[j] != int32(i+1) {
+					stamp[j] = int32(i + 1)
+					deg[j]++
+					upper++
 				}
 			}
 		}
-		for j, w := range counts {
-			p.adj[i] = append(p.adj[i], Neighbor{Edge: j, Overlap: w})
-			p.adj[j] = append(p.adj[j], Neighbor{Edge: int32(i), Overlap: w})
-			p.numWedges++
-		}
+		deg[i] += upper
+		wedges += upper
 	}
-	total := int64(0)
-	p.degPrefix = make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		sortNeighbors(p.adj[i])
-		total += int64(len(p.adj[i]))
-		p.degPrefix[i+1] = total
-	}
-	return p
+	return wedges
 }
 
 // NumEdges returns the number of hyperedges.
-func (p *Projected) NumEdges() int { return len(p.adj) }
+func (p *Projected) NumEdges() int { return len(p.off) - 1 }
 
-// Neighbors returns the sorted neighborhood of hyperedge e.
-func (p *Projected) Neighbors(e int32) []Neighbor { return p.adj[e] }
+// Neighbors returns the sorted neighborhood of hyperedge e. Its capacity ends
+// with the row, so appending to it never overwrites the next one.
+func (p *Projected) Neighbors(e int32) []Neighbor {
+	lo, hi := p.off[e], p.off[e+1]
+	return p.nbrs[lo:hi:hi]
+}
 
 // Degree returns |N_{e}|, the degree of hyperedge e in G¯.
-func (p *Projected) Degree(e int32) int { return len(p.adj[e]) }
+func (p *Projected) Degree(e int32) int { return int(p.off[e+1] - p.off[e]) }
 
 // Overlap returns ω(∧ij), or 0 if not adjacent. It binary-searches the
 // smaller of the two neighborhoods, so a probe between a projected-graph hub
 // and a hyperedge with a handful of neighbors costs the small side's log.
 func (p *Projected) Overlap(i, j int32) int32 {
-	ni, nj := p.adj[i], p.adj[j]
+	ni, nj := p.Neighbors(i), p.Neighbors(j)
 	if len(nj) < len(ni) {
 		return lookupOverlap(nj, i)
 	}
@@ -102,32 +159,31 @@ func (p *Projected) Overlap(i, j int32) int32 {
 func (p *Projected) OverlapOriented(i, j int32) int32 { return p.Overlap(i, j) }
 
 // NumWedges returns |∧|.
-func (p *Projected) NumWedges() int64 { return p.numWedges }
+func (p *Projected) NumWedges() int64 { return int64(len(p.nbrs) / 2) }
 
 // WedgeAt maps a rank in [0, 2|∧|) to a hyperwedge: each wedge owns exactly
-// two adjacency entries, so a uniform rank yields a uniform wedge.
+// two adjacency entries, so a uniform rank yields a uniform wedge. Rank r is
+// entry r of nbrs, in the row e with off[e] ≤ r < off[e+1].
 func (p *Projected) WedgeAt(rank int64) (i, j int32) {
-	e := sort.Search(len(p.degPrefix)-1, func(e int) bool {
-		return p.degPrefix[e+1] > rank
+	e := sort.Search(len(p.off)-1, func(e int) bool {
+		return p.off[e+1] > rank
 	})
-	nb := p.adj[e][rank-p.degPrefix[e]]
-	return int32(e), nb.Edge
+	return int32(e), p.nbrs[rank].Edge
 }
 
 // MaxDegree returns the maximum degree in G¯.
 func (p *Projected) MaxDegree() int {
 	m := 0
-	for _, a := range p.adj {
-		if len(a) > m {
-			m = len(a)
-		}
+	for e := 0; e < p.NumEdges(); e++ {
+		m = max(m, p.Degree(int32(e)))
 	}
 	return m
 }
 
-// sortNeighbors orders a neighborhood by edge ID ascending.
+// sortNeighbors orders a neighborhood by edge ID ascending, without
+// allocating.
 func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(a, b int) bool { return ns[a].Edge < ns[b].Edge })
+	slices.SortFunc(ns, func(a, b Neighbor) int { return cmp.Compare(a.Edge, b.Edge) })
 }
 
 // lookupOverlap binary-searches a sorted neighborhood for edge j.
@@ -159,22 +215,9 @@ func ComputeNeighborhood(g *hypergraph.Hypergraph, e int32, scratch map[int32]in
 	return out
 }
 
-// CountWedges counts |∧| with O(max |N_e|) extra memory and no materialized
-// adjacency, by streaming per-edge neighbor sets. This is the cheap pass the
-// on-the-fly projector uses to size its wedge sampler.
+// CountWedges counts |∧| without materializing the adjacency, with Build's
+// count pass and O(|E|) extra memory. The on-the-fly projector sizes its
+// wedge sampler with it.
 func CountWedges(g *hypergraph.Hypergraph) int64 {
-	var wedges int64
-	seen := make(map[int32]struct{})
-	for i := 0; i < g.NumEdges(); i++ {
-		clear(seen)
-		for _, v := range g.Edge(i) {
-			for _, j := range g.IncidentEdges(v) {
-				if int(j) > i {
-					seen[j] = struct{}{}
-				}
-			}
-		}
-		wedges += int64(len(seen))
-	}
-	return wedges
+	return degrees(g, make([]int64, g.NumEdges()))
 }

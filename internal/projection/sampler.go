@@ -19,7 +19,7 @@ type WedgeSampler interface {
 // graph: a uniform rank among the 2|∧| adjacency entries identifies a
 // uniform wedge because every wedge owns exactly two entries.
 func (p *Projected) SampleWedge(rng *rand.Rand) (i, j int32) {
-	rank := rng.Int63n(2 * p.numWedges)
+	rank := rng.Int63n(int64(len(p.nbrs)))
 	return p.WedgeAt(rank)
 }
 

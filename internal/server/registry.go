@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/projection"
@@ -40,7 +41,20 @@ func (e *Entry) ID() string {
 // Projection returns the materialized projected graph of the entry, building
 // it on first call. Concurrent callers share one build.
 func (e *Entry) Projection() *projection.Projected {
-	e.projOnce.Do(func() { e.proj = projection.Build(e.Graph) })
+	return e.projection(nil)
+}
+
+// projection is Projection for a caller that times the build: built, when
+// non-nil, receives the build's start and end only on the call that ran it,
+// so callers served an existing or shared build report nothing.
+func (e *Entry) projection(built func(start, end time.Time)) *projection.Projected {
+	e.projOnce.Do(func() {
+		start := time.Now()
+		e.proj = projection.Build(e.Graph)
+		if built != nil {
+			built(start, time.Now())
+		}
+	})
 	return e.proj
 }
 

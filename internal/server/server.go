@@ -483,14 +483,12 @@ const (
 )
 
 // runCount runs one count kernel on e: the pipeline's count hook, called
-// under a pool slot with caching left to the memo. It records the
-// projection and kernel spans and the kernel metrics, and persists a fresh
-// exact count next to the graph's segment.
+// under a pool slot with caching left to the memo. It records the kernel
+// spans and metrics, and the projection span when this call built the
+// projection, and persists a fresh exact count next to the graph's segment.
 func (s *Server) runCount(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (c counting.Counts, err error) {
-	p0 := time.Now()
-	p := e.Projection()
+	p := e.projection(func(start, end time.Time) { s.tracer.RecordSpan(ctx, "projection.build", start, end) })
 	t0 := time.Now()
-	s.tracer.RecordSpan(ctx, "projection.build", p0, t0)
 	kctx, kspan := s.tracer.StartSpan(ctx, "kernel."+algo)
 	switch algo {
 	case algoExact:

@@ -80,6 +80,36 @@ func TestSpanDurationWithoutRing(t *testing.T) {
 	}
 }
 
+// TestProjectionBuildTimedOnce: an entry's projection is built once, so
+// five cold sampled counts of one upload time one projection.build span, not
+// one per count.
+func TestProjectionBuildTimedOnce(t *testing.T) {
+	s := New(Config{CacheSize: 64, MaxConcurrent: 4, MaxWorkersPerJob: 4, TraceBuffer: -1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	if _, err := c.UploadGraph(ctx, "g", benchGraph(5)); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := c.Count(ctx, "g", api.CountRequest{Algorithm: api.AlgoWedge, Samples: 500, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatalf("count with seed %d served from the cache, want a cold count", seed)
+		}
+	}
+	snap, err := c.MetricsSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := snap.Value("mochyd_span_duration_seconds_count", map[string]string{"name": "projection.build"}); n != 1 {
+		t.Fatalf("projection.build timed %v times over five cold counts of one upload, want 1", n)
+	}
+}
+
 // TestRequestDurationResolvesMicroseconds: an in-process healthz request
 // takes tens of microseconds, and the HTTP latency histogram resolves it
 // below 0.5 ms instead of folding it into one sub-millisecond bucket.

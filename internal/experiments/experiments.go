@@ -60,7 +60,10 @@ func (c Config) scaled(spec generator.DatasetSpec) generator.Config {
 	return cfg
 }
 
-// exactCost estimates the MoCHy-E cost Σ_e |e|·|N_e|² from the projection.
+// exactCost estimates the cost Σ_e |e|·|N_e|² of the Algorithm-2 pair loop
+// from the projection. CountExact runs the cheaper oriented counter on a
+// Projected, but this model is kept as the gate between exact and sampled
+// counts, so the experiments pick the same method as before.
 func exactCost(g *hypergraph.Hypergraph, p *projection.Projected) float64 {
 	cost := 0.0
 	for e := 0; e < g.NumEdges(); e++ {

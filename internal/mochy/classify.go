@@ -10,8 +10,8 @@ import (
 // hypergraph and the seven region cardinalities with
 // motif.VennFromCardinalities. Returns 0 for invalid triples (not connected
 // or duplicated hyperedges). It is the brute-force reference for callers
-// without a projected graph; the counting kernels classify through
-// pairClass instead, so the reference shares no code with them.
+// without a projected graph; the counting kernels build patterns with
+// patternOf instead, so the reference shares no code with them.
 func Classify(g *hypergraph.Hypergraph, i, j, k int32) int {
 	a, b, c := int(i), int(j), int(k)
 	ab, bc, ca := g.IntersectionSize(a, b), g.IntersectionSize(b, c), g.IntersectionSize(c, a)
@@ -23,14 +23,15 @@ func Classify(g *hypergraph.Hypergraph, i, j, k int32) int {
 	return motif.FromPattern(v.Pattern())
 }
 
-// pairClass is the kernels' one classifier. It classifies the triples
-// {e_i, e_j, e_k} that share the pair {e_i, e_j}: an anchor and one
-// neighbour in the pair loop, a sampled hyperedge or a candidate and one
-// neighbour in the walker, a sampled hyperwedge, or the first two members of
-// an oriented triangle. Lemma 2's triple intersection of a closed triple is
+// pairClass is the classifier of the pair loop, the walker and both
+// samplers. It classifies the triples {e_i, e_j, e_k} that share the pair
+// {e_i, e_j}: an anchor and one neighbour in the pair loop, a sampled
+// hyperedge or a candidate and one neighbour in the walker, or a sampled
+// hyperwedge. Lemma 2's triple intersection of a closed triple is
 // |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per pair, on the first
 // closed triple that needs it, and each closed triple then costs ω_ij
-// membership probes of e_k.
+// membership probes of e_k. The oriented counter's triangles take the
+// triple intersection from node masks instead (see closeTriangles).
 type pairClass struct {
 	g          *hypergraph.Hypergraph
 	ei         []int32 // e_i's nodes, ascending

@@ -244,7 +244,9 @@ func CountExact(g *hypergraph.Hypergraph, p projection.Projector, workers int) C
 //     of N(e_i), and closed ones are listed once each as degree-ordered
 //     triangles of the projected graph. It never visits an open triple. Its
 //     setup orients the projected graph into out-lists of |∧| entries, and
-//     each worker holds 8·|E| bytes of marks.
+//     each worker holds 12·|E| bytes of marks, 4·|V| bytes of node
+//     positions, the node masks of one anchor's out-neighbours and an 8 KB
+//     table of triangle keys.
 //   - Otherwise (the memoized projector of Section 3.4) it runs the
 //     Algorithm-2 pair loop of CountPairs.
 //

@@ -4,7 +4,7 @@ package mochy
 // CountExactOpts, the Algorithm-2 pair loop (CountPairs and the memoized
 // projector), PerEdgeCounts, Enumerate, and CountForNodeSet on every edge —
 // must agree with brute-force Classify over all O(|E|^3) triples, on seeded
-// graphs of four families.
+// graphs of five families.
 //
 //	go test -count=20 -cpu 1,2,8 -run 'Oracle|Sampl|CountForNodeSet' ./internal/mochy
 //	go test -run '^$' -fuzz FuzzCountOracle -fuzztime 20s ./internal/mochy
@@ -26,7 +26,9 @@ import (
 //     chunks, degree orientation and the merge walk all engage;
 //   - repeated and nested hyperedges kept by KeepDuplicates, where
 //     e_j ⊆ e_i and e_j = e_i decide the subset bit of the open tallies;
-//   - singleton edges over a few nodes, whose neighbourhoods are cliques.
+//   - singleton edges over a few nodes, whose neighbourhoods are cliques;
+//   - one anchor wider than 64 nodes whose triangles share nodes past its
+//     first mask word (see wideAnchorHypergraph).
 var oracleFamilies = []struct {
 	name  string
 	build func(rng *rand.Rand) *hypergraph.Hypergraph
@@ -39,6 +41,39 @@ var oracleFamilies = []struct {
 	}},
 	{"duplicates", testutil.DuplicateHypergraph},
 	{"singletons", testutil.SingletonHypergraph},
+	{"wide", wideAnchorHypergraph},
+}
+
+// wideAnchorHypergraph builds one hyperedge of 65–184 nodes, edge 0, and 40
+// small edges of 2 nodes each from a 5-node pool, which overlap one another
+// so densely that they outrank the wide edge in (degree, id) order. Eight of
+// them also hold 1–2 of the wide edge's nodes at positions 60 and up, so the
+// oriented counter lists their triangles from the wide edge, with triple
+// intersections in mask words past the first.
+func wideAnchorHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
+	const pool = 5
+	size := 65 + rng.Intn(120)
+	b := hypergraph.NewBuilder(pool + size)
+	wide := make([]int32, size)
+	for i := range wide {
+		wide[i] = int32(pool + i)
+	}
+	b.AddEdge(wide)
+	for i := 0; i < 40; i++ {
+		a := rng.Intn(pool)
+		e := []int32{int32(a), int32((a + 1 + rng.Intn(pool-1)) % pool)}
+		if i < 8 {
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				e = append(e, wide[60+rng.Intn(size-60)])
+			}
+		}
+		b.AddEdge(e)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // oracleGraph builds the oracle input of one family from a seed.
@@ -161,6 +196,24 @@ func oracleSeed(t *testing.T, seed int64) {
 	budget := []int64{0, 20, 1 << 16}[uint64(seed)%3]
 	for f, fam := range oracleFamilies {
 		checkOracle(t, fam.name, oracleGraph(f, seed), budget)
+	}
+}
+
+// TestOracleWideAnchorFamily keeps the wide family's point: at every seed
+// its wide edge is the lowest end of at least two out-neighbours, so the
+// oriented counter lists triangles from an anchor of more than one mask
+// word.
+func TestOracleWideAnchorFamily(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		g := wideAnchorHypergraph(rand.New(rand.NewSource(seed)))
+		if g.EdgeSize(0) <= 64 {
+			t.Fatalf("seed %d: edge 0 has %d nodes, want more than 64", seed, g.EdgeSize(0))
+		}
+		p := projection.Build(g)
+		o := orient(p)
+		if out := o.outOf(0); len(out) < 2 {
+			t.Fatalf("seed %d: the wide edge has %d out-neighbours (degree %d), want at least 2", seed, len(out), p.Degree(0))
+		}
 	}
 }
 

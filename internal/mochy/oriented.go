@@ -15,13 +15,19 @@ package mochy
 //   - Closed triples are the triangles of the projected graph. Each edge of
 //     the projected graph is oriented from its lower to its higher
 //     (degree, id) end, and a triangle is found once, from its lowest end u,
-//     as a w in both out(u) and out(v) for some v in out(u) (Chiba–Nishizeki
-//     1985; the "forward" algorithm of Schank–Wagner 2005). It is
-//     classified once, and its three as-if-open classes, one per member as
-//     center, are taken back out of the tallies.
+//     as an x in both out(u) and out(v) for some v in out(u) (Chiba–Nishizeki
+//     1985; the "forward" algorithm of Schank–Wagner 2005). At each anchor
+//     u, every x in out(u) gets a bitmask over e_u's nodes, so Lemma 2's
+//     triple intersection of a triangle is popcount(mask(v) ∧ mask(x)).
+//     The triangle is tallied once under a 10-bit key: its 7-bit pattern
+//     and, per member, whether it keeps nodes of its own as if the triple
+//     were open. The merge folds each key once into the closed counts and
+//     takes the key's three as-if-open classes, one per member as center,
+//     back out of the tallies.
 
 import (
 	"context"
+	"math/bits"
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/motif"
@@ -81,29 +87,36 @@ func (o *orientation) outOf(u int32) []projection.Neighbor {
 	return o.out[o.off[u]:o.off[u+1]]
 }
 
-// mark records that w is in out(anchor), with ω(anchor, w).
-type mark struct{ anchor, overlap int32 }
+// mark records that x is in out(anchor), with ω(anchor, x) and the slot of
+// x in out(anchor), which indexes x's node mask.
+type mark struct{ anchor, overlap, slot int32 }
 
 // orientedWorker is one worker's state of the oriented counter.
 type orientedWorker struct {
 	g *hypergraph.Hypergraph
 	p *projection.Projected
 	o *orientation
-	// marks[w] is stamped while the worker lists the triangles of the
-	// anchor: 8·|E| bytes per worker.
+	// marks[x] is stamped while the worker lists the triangles of the
+	// anchor: 12·|E| bytes per worker.
 	marks []mark
+	// pos[n] is 1 + node n's position in the anchor's node list while the
+	// worker lists the anchor's triangles, and 0 otherwise: 4·|V| bytes per
+	// worker.
+	pos []int32
+	// masks holds ⌈|e_u|/64⌉ words per out-neighbour x of the anchor u, in
+	// out(u) order, with bit i set when e_x holds e_u's i-th node.
+	masks []uint64
 	// cum[s][ω] counts the anchor's neighbors with overlap ≤ ω and subset
 	// bit s (1 when the neighbor keeps nodes outside the anchor).
 	cum [2][]int64
-	pc  pairClass
-	// open[own][outer] tallies every anchor pair as if open, minus the
-	// three as-if-open classes of every closed triple.
-	open   [2][3]int64
-	closed [motif.Count]int64
+	// open[own][outer] tallies every anchor pair as if open.
+	open [2][3]int64
+	// tri counts the triangles listed so far by triKey: 8 KB per worker.
+	tri [1 << 10]int64
 }
 
 func newOrientedWorker(g *hypergraph.Hypergraph, p *projection.Projected, o *orientation) *orientedWorker {
-	w := &orientedWorker{g: g, p: p, o: o, marks: make([]mark, g.NumEdges())}
+	w := &orientedWorker{g: g, p: p, o: o, marks: make([]mark, g.NumEdges()), pos: make([]int32, g.NumNodes())}
 	for x := range w.marks {
 		w.marks[x].anchor = -1
 	}
@@ -159,23 +172,42 @@ func (w *orientedWorker) tallyOpen(u int32) {
 	clear(c1)
 }
 
-// closeTriangles lists the triangles whose lowest end is u, classifies each
-// from S = e_u ∩ e_v, computed once per (u, v), and takes their three
-// as-if-open classes back out of the tallies.
+// closeTriangles tallies the triangles whose lowest end is u by triKey.
+// Each x in out(u) gets a mask of e_u's nodes that e_x holds, built by
+// looking e_x's nodes up in pos, so a triangle's triple intersection is
+// the popcount of its two outer members' masks.
 func (w *orientedWorker) closeTriangles(u int32) {
 	out := w.o.outOf(u)
 	if len(out) < 2 {
 		return
 	}
-	for _, nb := range out {
-		w.marks[nb.Edge] = mark{anchor: u, overlap: nb.Overlap}
-	}
 	eu := w.g.Edge(int(u))
 	su := int32(len(eu))
-	for _, a := range out {
+	for i, n := range eu {
+		w.pos[n] = int32(i) + 1
+	}
+	words := (len(eu) + 63) / 64
+	if n := len(out) * words; cap(w.masks) < n {
+		w.masks = make([]uint64, n)
+	}
+	masks := w.masks[:len(out)*words]
+	clear(masks)
+	for s, nb := range out {
+		w.marks[nb.Edge] = mark{anchor: u, overlap: nb.Overlap, slot: int32(s)}
+		m, left := masks[s*words:(s+1)*words], nb.Overlap
+		for _, n := range w.g.Edge(int(nb.Edge)) {
+			if i := w.pos[n] - 1; i >= 0 {
+				m[i>>6] |= 1 << (i & 63)
+				if left--; left == 0 {
+					break
+				}
+			}
+		}
+	}
+	for s, a := range out {
 		v, wuv := a.Edge, a.Overlap
-		w.pc.reset(w.g, eu, v, wuv)
-		sv := w.pc.sj
+		sv := int32(w.g.EdgeSize(int(v)))
+		mv := masks[s*words : (s+1)*words]
 		for _, b := range w.o.outOf(v) {
 			m := w.marks[b.Edge]
 			if m.anchor != u {
@@ -183,13 +215,44 @@ func (w *orientedWorker) closeTriangles(u int32) {
 			}
 			x, wvx, wux := b.Edge, b.Overlap, m.overlap
 			sx := int32(w.g.EdgeSize(int(x)))
-			w.open[b2i(wuv+wux < su)][b2i(wuv < sv)+b2i(wux < sx)]--
-			w.open[b2i(wuv+wvx < sv)][b2i(wuv < su)+b2i(wvx < sx)]--
-			w.open[b2i(wux+wvx < sx)][b2i(wux < su)+b2i(wvx < sv)]--
-			if id := w.pc.motif(x, wvx, wux); id != 0 {
-				w.closed[id-1]++
+			var abc int
+			for i, word := range masks[int(m.slot)*words : int(m.slot+1)*words] {
+				abc += bits.OnesCount64(word & mv[i])
 			}
+			w.tri[triKey(patternOf(su, sv, sx, wuv, wvx, wux, int32(abc)),
+				wuv+wux < su, wuv+wvx < sv, wux+wvx < sx)]++
 		}
+	}
+	for _, n := range eu {
+		w.pos[n] = 0
+	}
+}
+
+// triKey is a triangle {u, v, x}'s key: its pattern (a = u, b = v, c = x)
+// in bits 0-6, and in bits 7, 8 and 9 whether u, v and x keep nodes of
+// their own as if the triple were open (ω_uv + ω_ux < |e_u|, and likewise).
+func triKey(p motif.Pattern, ownU, ownV, ownX bool) int {
+	return int(p) | b2i(ownU)<<7 | b2i(ownV)<<8 | b2i(ownX)<<9
+}
+
+// foldTriangles adds n triangles of key k to total: their motif, and minus
+// their three as-if-open classes. A member's outer edges keep nodes outside
+// it when the pattern has the regions they hold apart from it: for u that
+// is e_v \ e_u = B ∪ BC and e_x \ e_u = C ∪ BC.
+func foldTriangles(total *Counts, k int, n int64) {
+	p := motif.Pattern(k & 0x7f)
+	has := func(r1, r2 int) int { return b2i(p&(1<<r1|1<<r2) != 0) }
+	if id := motif.FromPattern(p); id != 0 {
+		total[id-1] += float64(n)
+	}
+	own := [3]int{k >> 7 & 1, k >> 8 & 1, k >> 9 & 1}
+	outer := [3]int{
+		has(motif.RegionB, motif.RegionBC) + has(motif.RegionC, motif.RegionBC),
+		has(motif.RegionA, motif.RegionCA) + has(motif.RegionC, motif.RegionCA),
+		has(motif.RegionA, motif.RegionAB) + has(motif.RegionB, motif.RegionAB),
+	}
+	for m := range own {
+		total[openMotif[own[m]][outer[m]]-1] -= float64(n)
 	}
 }
 
@@ -204,7 +267,8 @@ func b2i(b bool) int {
 // countOriented runs the oriented counter on the anchor loop. Each worker
 // runs both passes per anchor, so chunks, cancellation, progress and
 // KernelStats behave as for the pair loop; orienting the projected graph is
-// part of the Setup phase.
+// part of the Setup phase. The merge sums the workers' triangle tallies and
+// folds each key once.
 func countOriented(ctx context.Context, g *hypergraph.Hypergraph, p *projection.Projected, opts Options) (Counts, KernelStats, error) {
 	var o orientation
 	workers := make([]*orientedWorker, opts.workers())
@@ -217,14 +281,20 @@ func countOriented(ctx context.Context, g *hypergraph.Hypergraph, p *projection.
 			w.closeTriangles(u)
 		}
 	}, func() {
+		var tri [1 << 10]int64
 		for _, w := range workers {
 			for own := range w.open {
 				for outer, n := range w.open[own] {
 					total[openMotif[own][outer]-1] += float64(n)
 				}
 			}
-			for t, n := range w.closed {
-				total[t] += float64(n)
+			for k, n := range w.tri {
+				tri[k] += n
+			}
+		}
+		for k, n := range tri {
+			if n != 0 {
+				foldTriangles(&total, k, n)
 			}
 		}
 	})

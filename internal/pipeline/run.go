@@ -59,6 +59,10 @@ type Env struct {
 	// Count runs one count kernel on the bound graph. The caller holds a
 	// pool slot, and caching is the Cache's.
 	Count func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error)
+	// KernelStats receives the stats of every exact count a stage runs
+	// itself, one per null-model copy, with the time its kernel started;
+	// nil skips. Count reports its own.
+	KernelStats func(ctx context.Context, stats counting.KernelStats, start time.Time)
 }
 
 // emit publishes one event if the env has a sink.

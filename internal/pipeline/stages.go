@@ -17,6 +17,7 @@ import (
 	"mochy/internal/motif"
 	"mochy/internal/nullmodel"
 	"mochy/internal/obs"
+	"mochy/internal/projection"
 	"mochy/internal/rank"
 	"mochy/internal/temporal"
 )
@@ -121,8 +122,8 @@ func realCounts(ctx context.Context, env *Env, st *Stage, workers int, exact *ex
 	return &c, err
 }
 
-// significance generates the ensemble, counts every copy and scores real
-// against it.
+// significance generates the ensemble, counts every copy with MoCHy-E and
+// scores real against it.
 func significance(ctx context.Context, env *Env, st *Stage, p *api.NullModelParams, real *counting.Counts) (api.SignificanceResult, error) {
 	start := time.Now()
 	var copies []*hypergraph.Hypergraph
@@ -135,11 +136,24 @@ func significance(ctx context.Context, env *Env, st *Stage, p *api.NullModelPara
 		copies = nullmodel.NewRandomizer(env.Graph).GenerateN(p.Randomizations, p.Seed)
 	}
 
-	randCounts, err := nullmodel.CountCopies(ctx, copies, env.workers(p.Workers), func(n int) {
-		env.emit(api.JobEvent{Type: api.EventProgress, Stage: st.ID, Done: n, Total: len(copies)})
-	})
-	if err != nil {
-		return api.SignificanceResult{}, err
+	// Copies are counted one after another; a cancelled ctx stops the
+	// current copy's kernel at its next anchor boundary.
+	workers := env.workers(p.Workers)
+	randCounts := make([]*counting.Counts, len(copies))
+	for i, g := range copies {
+		b0 := time.Now()
+		proj := projection.Build(g)
+		k0 := time.Now()
+		env.Tracer.RecordSpan(ctx, "projection.build", b0, k0)
+		c, stats, err := counting.CountExactOpts(ctx, g, proj, counting.Options{Workers: workers})
+		if env.KernelStats != nil {
+			env.KernelStats(ctx, stats, k0)
+		}
+		if err != nil {
+			return api.SignificanceResult{}, err
+		}
+		randCounts[i] = &c
+		env.emit(api.JobEvent{Type: api.EventProgress, Stage: st.ID, Done: i + 1, Total: len(copies)})
 	}
 
 	n := float64(len(randCounts))

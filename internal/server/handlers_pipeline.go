@@ -118,6 +118,7 @@ func (s *Server) pipelineEnv(e *Entry) *pipeline.Env {
 		Count: func(ctx context.Context, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, error) {
 			return s.runCount(ctx, e, algo, samples, seed, workers, progress)
 		},
+		KernelStats: s.recordKernelStats,
 	}
 }
 

@@ -110,6 +110,52 @@ func TestProjectionBuildTimedOnce(t *testing.T) {
 	}
 }
 
+// TestProfileCopiesRecordKernelPhases: a profile counts its Chung-Lu copies
+// on the pipeline's own loop, and each copy still shows on the daemon. After
+// an exact count, a profile of 3 randomizations (its real counts cached)
+// times exactly 3 more projection.build, kernel.setup and kernel.enumerate
+// spans, one per copy, and hands out more scheduler chunks.
+func TestProfileCopiesRecordKernelPhases(t *testing.T) {
+	s := New(Config{CacheSize: 64, MaxConcurrent: 4, MaxWorkersPerJob: 4, TraceBuffer: -1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	if _, err := c.UploadGraph(ctx, "g", benchGraph(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Count(ctx, "g", api.CountRequest{Algorithm: api.AlgoExact}); err != nil {
+		t.Fatal(err)
+	}
+	spans := []string{"projection.build", "kernel.setup", "kernel.enumerate"}
+	read := func() (map[string]float64, float64) {
+		t.Helper()
+		snap, err := c.MetricsSnapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := make(map[string]float64, len(spans))
+		for _, name := range spans {
+			n[name], _ = snap.Value("mochyd_span_duration_seconds_count", map[string]string{"name": name})
+		}
+		chunks, _ := snap.Value("mochyd_kernel_chunks_total", nil)
+		return n, chunks
+	}
+	before, chunks0 := read()
+	if _, err := c.Profile(ctx, "g", api.ProfileRequest{Randomizations: 3, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	after, chunks1 := read()
+	for _, name := range spans {
+		if d := after[name] - before[name]; d != 3 {
+			t.Errorf("span %q timed %v more times over a profile of 3 copies, want 3", name, d)
+		}
+	}
+	if chunks1 <= chunks0 {
+		t.Errorf("mochyd_kernel_chunks_total went from %v to %v over a profile of 3 copies, want it raised", chunks0, chunks1)
+	}
+}
+
 // TestRequestDurationResolvesMicroseconds: an in-process healthz request
 // takes tens of microseconds, and the HTTP latency histogram resolves it
 // below 0.5 ms instead of folding it into one sub-millisecond bucket.

@@ -126,8 +126,10 @@ func CountExact(g *Hypergraph, p Projector, workers int) Counts {
 // projection (Project) it runs the oriented counter: open instances are
 // tallied from one histogram of each anchor's neighborhood, and closed ones
 // are listed once each as degree-ordered triangles of the projected graph,
-// after a setup that orients the projection (|∧| transient out-entries,
-// plus 8·|E| bytes per worker). On the on-the-fly projector it runs
+// after a setup that orients the projection (|∧| transient out-entries).
+// Each worker holds 12·|E| bytes of marks, 4·|V| bytes of node positions,
+// the node masks of one anchor's out-neighbours and an 8 KB table of
+// triangle keys. On the on-the-fly projector it runs
 // Algorithm 2's pair loop. Either way anchor hyperedges are scheduled
 // through a cost-aware atomic chunk cursor, ctx cancellation stops the run
 // at the next anchor boundary, opts.Progress reports anchors done, and the

@@ -15,8 +15,8 @@ import (
 // anchor of the anchor loop is a block of this many samples. Each block owns
 // an RNG stream derived from (seed, block index), so the sample set — and
 // with it the estimate — depends only on the seed, not on the worker count
-// or on which worker drains which block. 64 samples amortize the RNG
-// construction while keeping redistribution fine-grained: a worker stuck on
+// or on which worker drains which block. 64 samples amortize re-seeding the
+// worker's RNG while keeping redistribution fine-grained: a worker stuck on
 // samples that hit hub hyperedges gives up the rest of the sample budget.
 const sampleBlock = 64
 
@@ -39,8 +39,8 @@ func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projec
 	if s <= 0 || g.NumEdges() == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, s, seed, func(rng *rand.Rand, out *Counts, buf *nbrBuffers) {
-		i := int32(rng.Intn(g.NumEdges()))
+	total, err := parallelSamples(ctx, workers, s, seed, func(out *Counts, buf *nbrBuffers) {
+		i := int32(buf.rng.Intn(g.NumEdges()))
 		buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
 		countContaining(g, p, g.Edge(int(i)), i, buf.ni, out, buf)
 	})
@@ -54,14 +54,20 @@ func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projec
 	return total, nil
 }
 
-// nbrBuffers holds per-worker neighborhood copies and the worker's
-// classifier, reused across samples so the sampling loops stay
-// allocation-free after warmup. Copies are required because Projector
-// implementations only guarantee the returned slice until the next
-// Neighbors call.
+// nbrBuffers holds one sampling worker's state, reused across samples and
+// sample blocks so the sampling loops allocate nothing after warmup:
+// neighborhood copies (Projector implementations only guarantee the
+// returned slice until the next Neighbors call), MoCHy-A's classifier, and
+// MoCHy-A+'s shared nodes S = e_i ∩ e_j of the sampled wedge with its
+// counter inS, where inS[k] = |S ∩ e_k| while a wedge is being counted and 0
+// otherwise. The counter costs 4·|E| bytes, allocated on first use. rng is
+// the worker's one RNG, re-seeded at the start of every sample block.
 type nbrBuffers struct {
 	ni, nj []projection.Neighbor
 	pc     pairClass
+	shared []int32
+	inS    []int32
+	rng    *rand.Rand
 }
 
 // countContaining is the one walker for "instances containing e_i" (lines
@@ -105,7 +111,8 @@ func countContaining(g *hypergraph.Hypergraph, p projection.Projector, ei []int3
 // instance containing each sampled wedge, and rescales open-motif estimates
 // by |∧|/(2r) and closed-motif estimates by |∧|/(3r), which makes every
 // estimate unbiased (Theorem 4). Results are deterministic for a fixed seed
-// at every worker count.
+// at every worker count. Each worker holds one RNG, copies of two
+// neighborhoods and a counter of 4·|E| bytes (see nbrBuffers).
 func CountWedgeSamples(g *hypergraph.Hypergraph, p projection.Projector, sampler projection.WedgeSampler, r int, seed int64, workers int) Counts {
 	c, _ := CountWedgeSamplesCtx(context.Background(), g, p, sampler, r, seed, workers)
 	return c
@@ -120,8 +127,8 @@ func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p proje
 	if r <= 0 || numWedges == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, r, seed, func(rng *rand.Rand, out *Counts, buf *nbrBuffers) {
-		i, j := sampler.SampleWedge(rng)
+	total, err := parallelSamples(ctx, workers, r, seed, func(out *Counts, buf *nbrBuffers) {
+		i, j := sampler.SampleWedge(buf.rng)
 		countContainingWedge(g, p, i, j, out, buf)
 	})
 	if err != nil {
@@ -141,13 +148,26 @@ func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p proje
 // containing the hyperwedge ∧ij (lines 4-5 of Algorithm 5), walking the two
 // sorted neighborhoods with a single merge so each candidate e_k in
 // N(e_i) ∪ N(e_j) \ {e_i, e_j} is visited once with both overlaps in hand.
-// Every candidate shares the sampled pair {e_i, e_j}, so one pairClass
-// classifies them all.
+// Lemma 2's triple intersection |S ∩ e_k|, for S = e_i ∩ e_j, comes from one
+// walk of the incidence lists of S's nodes, which adds one to inS[k] per
+// node of S in e_k. Every edge it reaches holds a node of S, so it is e_i,
+// e_j or a closed candidate, and the walk costs Σ_k |S ∩ e_k| with no
+// search; each candidate then reads its triple intersection as one load
+// (0 for an open one), and a second walk clears the entries the first set.
 func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j int32, out *Counts, buf *nbrBuffers) {
 	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
 	buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
-	ni, nj, pc := buf.ni, buf.nj, &buf.pc
-	pc.reset(g, g.Edge(int(i)), j, p.Overlap(i, j))
+	buf.shared = intersect(buf.shared[:0], g.Edge(int(i)), g.Edge(int(j)))
+	if buf.inS == nil {
+		buf.inS = make([]int32, g.NumEdges())
+	}
+	ni, nj, inS := buf.ni, buf.nj, buf.inS
+	for _, v := range buf.shared {
+		for _, k := range g.IncidentEdges(v) {
+			inS[k]++
+		}
+	}
+	si, sj, wij := int32(g.EdgeSize(int(i))), int32(g.EdgeSize(int(j))), int32(len(buf.shared))
 	a, b := 0, 0
 	for a < len(ni) || b < len(nj) {
 		var k, wik, wjk int32
@@ -166,20 +186,26 @@ func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j
 		if k == i || k == j {
 			continue
 		}
-		if id := pc.motif(k, wjk, wik); id != 0 {
+		sk := int32(g.EdgeSize(int(k)))
+		if id := motif.FromPattern(patternOf(si, sj, sk, wij, wjk, wik, inS[k])); id != 0 {
 			out[id-1]++
+		}
+	}
+	for _, v := range buf.shared {
+		for _, k := range g.IncidentEdges(v) {
+			inS[k] = 0
 		}
 	}
 }
 
 // parallelSamples draws n > 0 samples on the anchor loop (see run), whose
-// anchors are blocks of sampleBlock samples: block b calls sample for each of
-// its samples with an RNG stream seeded from (seed, b). Because streams
-// attach to blocks rather than workers, and raw per-motif counts are integer
-// increments (merge order cannot perturb them), the result is identical for
-// every worker count. It fails when the blocks do not fit the anchor loop's
-// int32 anchor space.
-func parallelSamples(ctx context.Context, workers, n int, seed int64, sample func(rng *rand.Rand, out *Counts, buf *nbrBuffers)) (Counts, error) {
+// anchors are blocks of sampleBlock samples: block b re-seeds the worker's
+// RNG from (seed, b) and calls sample for each of its samples. Because
+// streams attach to blocks rather than workers, and raw per-motif counts are
+// integer increments (merge order cannot perturb them), the result is
+// identical for every worker count. It fails when the blocks do not fit the
+// anchor loop's int32 anchor space.
+func parallelSamples(ctx context.Context, workers, n int, seed int64, sample func(out *Counts, buf *nbrBuffers)) (Counts, error) {
 	blocks := (n-1)/sampleBlock + 1
 	if blocks > math.MaxInt32 {
 		return Counts{}, fmt.Errorf("mochy: %d samples need %d sample blocks, more than the %d one run schedules", n, blocks, math.MaxInt32)
@@ -188,11 +214,11 @@ func parallelSamples(ctx context.Context, workers, n int, seed int64, sample fun
 	results := make([]Counts, opts.workers())
 	var total Counts
 	_, err := run(ctx, nil, blocks, opts, nil, func(w int) anchorFunc {
-		var buf nbrBuffers
+		buf := nbrBuffers{rng: rand.New(rand.NewSource(seed))}
 		return func(b int32) {
-			rng := rand.New(rand.NewSource(seed + int64(b)*0x9e3779b9))
+			buf.rng.Seed(seed + int64(b)*0x9e3779b9)
 			for left := min(sampleBlock, n-int(b)*sampleBlock); left > 0; left-- {
-				sample(rng, &results[w], &buf)
+				sample(&results[w], &buf)
 			}
 		}
 	}, func() {

@@ -225,3 +225,28 @@ func TestSamplerEstimatesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimatorAllocsFlatInBlocks: a sampling run's allocations do not grow
+// with its number of sample blocks. Each worker re-seeds one RNG per block
+// instead of building one, and reuses its buffers, so 200 blocks of MoCHy-A+
+// (r = 12,800) and 8 of MoCHy-A allocate at most a few more times than one
+// block: the buffers' growth to the larger neighbourhoods a longer run meets.
+func TestEstimatorAllocsFlatInBlocks(t *testing.T) {
+	g := generator.Generate(generator.Config{Domain: generator.Contact, Nodes: 250, Edges: 2000, Seed: 3})
+	p := projection.Build(g)
+	for _, c := range []struct {
+		name   string
+		count  func(n int)
+		blocks int
+	}{
+		{"MoCHy-A+", func(r int) { CountWedgeSamples(g, p, p, r, 1, 1) }, 200},
+		{"MoCHy-A", func(s int) { CountEdgeSamples(g, p, s, 1, 1) }, 8},
+	} {
+		one := testing.AllocsPerRun(1, func() { c.count(sampleBlock) })
+		many := testing.AllocsPerRun(1, func() { c.count(c.blocks * sampleBlock) })
+		if many > one+8 {
+			t.Errorf("%s: %d sample blocks made %v allocations, one block %v; want at most 8 more",
+				c.name, c.blocks, many, one)
+		}
+	}
+}

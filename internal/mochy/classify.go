@@ -23,15 +23,18 @@ func Classify(g *hypergraph.Hypergraph, i, j, k int32) int {
 	return motif.FromPattern(v.Pattern())
 }
 
-// pairClass is the classifier of the pair loop, the walker and both
-// samplers. It classifies the triples {e_i, e_j, e_k} that share the pair
-// {e_i, e_j}: an anchor and one neighbour in the pair loop, a sampled
-// hyperedge or a candidate and one neighbour in the walker, or a sampled
-// hyperwedge. Lemma 2's triple intersection of a closed triple is
-// |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per pair, on the first
-// closed triple that needs it, and each closed triple then costs ω_ij
-// membership probes of e_k. The oriented counter's triangles take the
-// triple intersection from node masks instead (see closeTriangles).
+// pairClass is the classifier of the pair loop and of MoCHy-A's walker
+// (countContaining, behind MoCHy-A and CountForNodeSet). It classifies the
+// triples {e_i, e_j, e_k} that share the pair {e_i, e_j}: an anchor and one
+// neighbour in the pair loop, or a sampled hyperedge or a candidate and one
+// neighbour in the walker. Lemma 2's triple intersection of a closed triple
+// is |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per pair, on the
+// first closed triple that needs it, and each closed triple then costs ω_ij
+// membership probes of e_k. The walker visits only part of a pair's closed
+// triples, so probes cost it less than walking S's incidence lists would.
+// The oriented counter's triangles take the triple intersection from node
+// masks instead (see closeTriangles), and MoCHy-A+ from an incidence walk
+// per sampled wedge (see countContainingWedge).
 type pairClass struct {
 	g          *hypergraph.Hypergraph
 	ei         []int32 // e_i's nodes, ascending

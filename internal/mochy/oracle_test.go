@@ -2,9 +2,10 @@ package mochy
 
 // The counting oracle: every exact path — the oriented counter behind
 // CountExactOpts, the Algorithm-2 pair loop (CountPairs and the memoized
-// projector), PerEdgeCounts, Enumerate, and CountForNodeSet on every edge —
-// must agree with brute-force Classify over all O(|E|^3) triples, on seeded
-// graphs of five families.
+// projector), PerEdgeCounts, Enumerate, CountForNodeSet on every edge, and
+// MoCHy-A+'s per-wedge walker on every hyperwedge — must agree with
+// brute-force Classify over all O(|E|^3) triples, on seeded graphs of five
+// families.
 //
 //	go test -count=20 -cpu 1,2,8 -run 'Oracle|Sampl|CountForNodeSet' ./internal/mochy
 //	go test -run '^$' -fuzz FuzzCountOracle -fuzztime 20s ./internal/mochy
@@ -118,8 +119,9 @@ func bruteForce(g *hypergraph.Hypergraph) bruteForceResult {
 // bruteForceCounts is the aggregate part of bruteForce.
 func bruteForceCounts(g *hypergraph.Hypergraph) Counts { return bruteForce(g).total }
 
-// checkOracle asserts every exact counting path against brute force on g.
-// budget sizes the memoized projector.
+// checkOracle asserts every exact counting path, and the raw per-wedge counts
+// MoCHy-A+ scales, against brute force on g. budget sizes the memoized
+// projector.
 func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget int64) {
 	t.Helper()
 	want := bruteForce(g)
@@ -149,6 +151,31 @@ func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget in
 				if got[col] != float64(n) {
 					t.Fatalf("%s: CountForNodeSet(%T, edge %d) motif %d = %v, brute force %d",
 						label, pr, x, col+1, got[col], n)
+				}
+			}
+		}
+	}
+	// MoCHy-A+'s per-wedge walker: the raw counts it adds for ∧ij, in either
+	// order, are the instances {i, j, k} by motif. One buffer serves every
+	// wedge, so a counter left dirty by one wedge shows in the next.
+	byPair := make(map[[2]int32]Counts)
+	for key, id := range want.instances {
+		for _, pair := range [][2]int32{{key[0], key[1]}, {key[0], key[2]}, {key[1], key[2]}} {
+			c := byPair[pair]
+			c[id-1]++
+			byPair[pair] = c
+		}
+	}
+	var buf nbrBuffers
+	for i := int32(0); int(i) < g.NumEdges(); i++ {
+		for _, nb := range p.Neighbors(i) {
+			wantW := byPair[[2]int32{min(i, nb.Edge), max(i, nb.Edge)}]
+			for _, w := range [][2]int32{{i, nb.Edge}, {nb.Edge, i}} {
+				var got Counts
+				countContainingWedge(g, p, w[0], w[1], &got, &buf)
+				if got != wantW {
+					t.Fatalf("%s: countContainingWedge(%d, %d) = %v, brute force %v",
+						label, w[0], w[1], got.String(), wantW.String())
 				}
 			}
 		}

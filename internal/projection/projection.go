@@ -5,7 +5,8 @@
 //
 // The package offers two implementations of the Projector interface: the
 // fully materialized Projected (Algorithm 1), stored flat as per-hyperedge
-// offsets into one array of 2|∧| neighbors, and the on-the-fly Memoized
+// offsets into one array of 2|∧| neighbors and built in three passes with
+// no sort, in O(Σ_{∧ij} |e_i ∩ e_j| + |∧|) time, and the on-the-fly Memoized
 // projector of Section 3.4, which computes neighborhoods lazily under a
 // memory budget with configurable retention policies.
 package projection
@@ -53,15 +54,20 @@ type Projected struct {
 }
 
 // Build materializes the projected graph of g (Algorithm 1). Time is
-// O(Σ_{∧ij} |e_i ∩ e_j|) as in Lemma 1; space is O(|E| + |∧|).
+// O(Σ_{∧ij} |e_i ∩ e_j| + |∧|), Lemma 1's bound, with no sort; space is
+// O(|E| + |∧|).
 //
 // It takes two passes over the pairs i < j, each found once from anchor e_i
-// as degrees finds them. The first (degrees) counts every row's degree, and
-// the prefix sums of the counts size the one backing array. The second
-// tallies the anchor's overlaps in place in its upper part (neighbors above
-// i), sorts that part, and copies each entry into the row of the other end.
-// Anchors run in ascending order, so those copies fill every row's lower
-// part already sorted, and it is complete by the time the row is an anchor.
+// as degrees finds them, and then one pass over the rows. The first
+// (degrees) counts every row's degree, and the prefix sums of the counts
+// size the one backing array. The second tallies the anchor's overlaps in
+// place in its upper part (neighbors above i), in discovery order, and
+// copies each entry into the row of the other end. Anchors run in ascending
+// order, so those copies fill every row's lower part already sorted, and it
+// is complete by the time the row is an anchor. The last pass mirrors the
+// lower parts back: row j's lower entry (i, ω) goes to the next slot of
+// row i's upper part, and rows run in ascending j, so every upper part is
+// rewritten in ascending order.
 func Build(g *hypergraph.Hypergraph) *Projected {
 	n := g.NumEdges()
 	off := make([]int64, n+1)
@@ -70,7 +76,8 @@ func Build(g *hypergraph.Hypergraph) *Projected {
 		off[e+1] += off[e]
 	}
 	nbrs := make([]Neighbor, off[n])
-	// next[e] is where the next lower neighbor of e goes.
+	// next[e] is where the next lower neighbor of e goes, and after the
+	// tally pass where the next upper one goes.
 	next := make([]int64, n)
 	copy(next, off)
 	// slot[j] is the position of j's entry in the current anchor's upper
@@ -94,10 +101,16 @@ func Build(g *hypergraph.Hypergraph) *Projected {
 				end++
 			}
 		}
-		upper := nbrs[lo:end]
-		sortNeighbors(upper)
-		for _, nb := range upper {
+		for _, nb := range nbrs[lo:end] {
 			nbrs[next[nb.Edge]] = Neighbor{Edge: int32(i), Overlap: nb.Overlap}
+			next[nb.Edge]++
+		}
+	}
+	// Row j's lower part is nbrs[off[j]:next[j]] until row j itself is
+	// mirrored: only rows after it advance next[j].
+	for j := 0; j < n; j++ {
+		for _, nb := range nbrs[off[j]:next[j]] {
+			nbrs[next[nb.Edge]] = Neighbor{Edge: int32(j), Overlap: nb.Overlap}
 			next[nb.Edge]++
 		}
 	}
@@ -180,12 +193,6 @@ func (p *Projected) MaxDegree() int {
 	return m
 }
 
-// sortNeighbors orders a neighborhood by edge ID ascending, without
-// allocating.
-func sortNeighbors(ns []Neighbor) {
-	slices.SortFunc(ns, func(a, b Neighbor) int { return cmp.Compare(a.Edge, b.Edge) })
-}
-
 // lookupOverlap binary-searches a sorted neighborhood for edge j.
 func lookupOverlap(ns []Neighbor, j int32) int32 {
 	i := sort.Search(len(ns), func(i int) bool { return ns[i].Edge >= j })
@@ -211,7 +218,7 @@ func ComputeNeighborhood(g *hypergraph.Hypergraph, e int32, scratch map[int32]in
 	for j, w := range scratch {
 		out = append(out, Neighbor{Edge: j, Overlap: w})
 	}
-	sortNeighbors(out)
+	slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Compare(a.Edge, b.Edge) })
 	return out
 }
 

@@ -152,7 +152,9 @@ func CountEdgeSamplesCtx(ctx context.Context, g *Hypergraph, p Projector, s int,
 }
 
 // CountWedgeSamples runs MoCHy-A+ (Algorithm 5): r hyperwedge samples.
-// Results are deterministic for a fixed seed at every worker count.
+// Results are deterministic for a fixed seed at every worker count. Each
+// worker holds one RNG, copies of the sampled wedge's two neighbourhoods and
+// a 4·|E|-byte counter of the triple intersections it reads.
 func CountWedgeSamples(g *Hypergraph, p Projector, sampler WedgeSampler, r int, seed int64, workers int) Counts {
 	return counting.CountWedgeSamples(g, p, sampler, r, seed, workers)
 }

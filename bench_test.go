@@ -465,7 +465,7 @@ func BenchmarkTemporalSweep(b *testing.B) {
 	g := generator.GenerateTemporal(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		windows, err := temporal.Sweep(g, temporal.Config{Width: 3, Stride: 1})
+		windows, err := temporal.Sweep(context.Background(), g, temporal.Config{Width: 3, Stride: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

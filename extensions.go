@@ -21,6 +21,8 @@ import (
 
 // DynamicCounter maintains exact h-motif counts under hyperedge insertions
 // and deletions; its state always equals MoCHy-E on the live hyperedge set.
+// Each update counts the instances that contain the updated hyperedge with
+// MoCHy-A's walker, over sorted projected-graph rows kept per hyperedge.
 type DynamicCounter = dynamic.Counter
 
 // NewDynamicCounter returns an empty dynamic counter.
@@ -41,7 +43,7 @@ type Window = temporal.Window
 // SweepWindows slides windows over a timed hypergraph, returning one exact
 // h-motif census per window, maintained incrementally.
 func SweepWindows(g *Hypergraph, cfg WindowConfig) ([]Window, error) {
-	return temporal.Sweep(g, cfg)
+	return temporal.Sweep(context.Background(), g, cfg)
 }
 
 // WindowDrift returns one minus the Pearson correlation between consecutive

@@ -7,12 +7,17 @@
 // fully-dynamic counter whose state after any update sequence equals what
 // MoCHy-E (Algorithm 2) would report on the live hyperedge set.
 //
-// The update rule mirrors the per-sample work of MoCHy-A (Algorithm 4):
-// every h-motif instance gained or lost by an update contains the updated
-// hyperedge e, and all such instances are found by scanning the 1-hop and
-// 2-hop neighborhood of e in the projected graph. Inserting or deleting e
-// therefore costs O(sum over f in N(e) of (|N(e)|+|N(f)|) * min-edge-size),
-// the Theorem 3 per-sample bound, rather than a full recount.
+// Every h-motif instance gained or lost by an update contains the updated
+// hyperedge e, so the update is MoCHy-A's per-sample work (Algorithm 4,
+// lines 4-7): the counter hands a view of itself to the kernel's walker
+// (mochy.CountContaining), adds what it returns after inserting e and
+// subtracts it before deleting e. An update thus costs the Theorem 3
+// per-sample bound, up to binary searches, rather than a full recount.
+//
+// The projected graph is one row of projection.Neighbor entries per live
+// hyperedge and the incidence lists one id slice per node, all sorted by
+// id. Ids only grow, so an insertion appends to every row and list it
+// joins, and a deletion removes its entries by binary search.
 //
 // Duplicate hyperedges are rejected, matching the paper's dataset
 // preparation ("after removing duplicated hyperedges", Table 2) and keeping
@@ -22,11 +27,14 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
 	"mochy/internal/motif"
+	"mochy/internal/projection"
 )
 
 // Sentinel errors returned by Counter updates.
@@ -42,13 +50,14 @@ var (
 // Counter is a fully-dynamic exact h-motif counter. The zero value is not
 // usable; construct with New. A Counter is not safe for concurrent use.
 type Counter struct {
-	edges    map[int32][]int32            // live edge id -> sorted distinct nodes
-	inc      map[int32]map[int32]struct{} // node -> ids of live edges containing it
-	wadj     map[int32]map[int32]int32    // projected graph: edge -> neighbor -> overlap
-	setIndex map[uint64][]int32           // node-set hash -> live edge ids (duplicate guard)
-	counts   [motif.Count + 1]int64       // counts[t] = live instances of h-motif t
+	edges    map[int32][]int32               // live edge id -> sorted distinct nodes
+	inc      map[int32][]int32               // node -> ascending ids of live edges containing it
+	rows     map[int32][]projection.Neighbor // projected graph: live edge id -> N(e) by ascending id
+	setIndex map[uint64][]int32              // node-set hash -> live edge ids (duplicate guard)
+	counts   [motif.Count + 1]int64          // counts[t] = live instances of h-motif t
 	wedges   int64
 	nextID   int32
+	tally    []int32 // link's scratch: the ids of every incidence entry of the linked edge's nodes
 	// maxNodes, when positive, caps the node universe: inserts naming a node
 	// id >= maxNodes are rejected, mirroring hypergraph.ParseLimit.
 	maxNodes int
@@ -58,8 +67,8 @@ type Counter struct {
 func New() *Counter {
 	return &Counter{
 		edges:    make(map[int32][]int32),
-		inc:      make(map[int32]map[int32]struct{}),
-		wadj:     make(map[int32]map[int32]int32),
+		inc:      make(map[int32][]int32),
+		rows:     make(map[int32][]projection.Neighbor),
 		setIndex: make(map[uint64][]int32),
 	}
 }
@@ -142,48 +151,19 @@ func (c *Counter) Insert(nodes []int32) (int32, error) {
 	}
 	h := hashSet(set)
 	for _, other := range c.setIndex[h] {
-		if equal32(c.edges[other], set) {
+		if slices.Equal(c.edges[other], set) {
 			return 0, ErrDuplicateEdge
 		}
 	}
-
+	// Rows and incidence lists take each new id as their largest, so ids
+	// must not wrap.
+	if c.nextID == math.MaxInt32 {
+		return 0, errors.New("dynamic: every edge id has been assigned")
+	}
 	id := c.nextID
 	c.nextID++
-
-	// Overlaps with live edges, via incidence lists.
-	ov := make(map[int32]int32)
-	for _, v := range set {
-		for f := range c.inc[v] {
-			ov[f]++
-		}
-	}
-
-	// Splice the new edge into the projected graph first so the instance
-	// scan sees a consistent neighborhood, then count the gained instances.
-	c.edges[id] = set
-	for _, v := range set {
-		s := c.inc[v]
-		if s == nil {
-			s = make(map[int32]struct{})
-			c.inc[v] = s
-		}
-		s[id] = struct{}{}
-	}
-	row := make(map[int32]int32, len(ov))
-	for f, w := range ov {
-		row[f] = w
-		nf := c.wadj[f]
-		if nf == nil {
-			nf = make(map[int32]int32)
-			c.wadj[f] = nf
-		}
-		nf[id] = w
-	}
-	c.wadj[id] = row
-	c.wedges += int64(len(ov))
-	c.setIndex[h] = append(c.setIndex[h], id)
-
-	c.applyInstances(id, +1)
+	c.link(id, set, h)
+	c.count(id, +1)
 	return id, nil
 }
 
@@ -196,17 +176,23 @@ func (c *Counter) Delete(id int32) error {
 	}
 
 	// Count the lost instances while the projected graph still includes id.
-	c.applyInstances(id, -1)
+	c.count(id, -1)
 
-	for f := range c.wadj[id] {
-		delete(c.wadj[f], id)
+	row := c.rows[id]
+	for _, nb := range row {
+		nf := c.rows[nb.Edge]
+		x, _ := projection.Search(nf, id)
+		c.rows[nb.Edge] = slices.Delete(nf, x, x+1)
 	}
-	c.wedges -= int64(len(c.wadj[id]))
-	delete(c.wadj, id)
+	c.wedges -= int64(len(row))
+	delete(c.rows, id)
 	for _, v := range set {
-		delete(c.inc[v], id)
-		if len(c.inc[v]) == 0 {
+		in := c.inc[v]
+		x, _ := slices.BinarySearch(in, id)
+		if in = slices.Delete(in, x, x+1); len(in) == 0 {
 			delete(c.inc, v)
+		} else {
+			c.inc[v] = in
 		}
 	}
 	h := hashSet(set)
@@ -223,6 +209,62 @@ func (c *Counter) Delete(id int32) error {
 	}
 	delete(c.edges, id)
 	return nil
+}
+
+// link adds the edge id with canonical node set set and hash h to the
+// incidence lists, the projected graph and the duplicate index, without
+// counting. id is larger than every live id, so it goes last in every row
+// and list it joins and each stays sorted. Its own row comes from the
+// incidence entries of its nodes, sorted: each id occurs once per shared
+// node, so a run's length is the overlap.
+func (c *Counter) link(id int32, set []int32, h uint64) {
+	tally := c.tally[:0]
+	for _, v := range set {
+		tally = append(tally, c.inc[v]...)
+		c.inc[v] = append(c.inc[v], id)
+	}
+	slices.Sort(tally)
+	var row []projection.Neighbor
+	for x := 0; x < len(tally); {
+		f, y := tally[x], x+1
+		for y < len(tally) && tally[y] == f {
+			y++
+		}
+		w := int32(y - x)
+		row = append(row, projection.Neighbor{Edge: f, Overlap: w})
+		c.rows[f] = append(c.rows[f], projection.Neighbor{Edge: id, Overlap: w})
+		x = y
+	}
+	c.tally = tally
+	c.edges[id] = set
+	c.rows[id] = row
+	c.wedges += int64(len(row))
+	c.setIndex[h] = append(c.setIndex[h], id)
+}
+
+// count adds sign times every h-motif instance that contains the live edge
+// id, found by MoCHy-A's walker over the counter's projected graph.
+func (c *Counter) count(id int32, sign int64) {
+	got := counting.CountContaining(view{c}, view{c}, id)
+	for t, n := range got {
+		c.counts[t+1] += sign * int64(n)
+	}
+}
+
+// view serves the counter's live edges to the kernel's walker: node sets by
+// id (mochy.EdgeSets) and the projected graph (projection.Projector).
+type view struct{ *Counter }
+
+// Edge returns the node set of live edge e.
+func (v view) Edge(e int) []int32 { return v.edges[int32(e)] }
+
+// Neighbors returns the row of live edge e, which stays valid until the
+// next mutation.
+func (v view) Neighbors(e int32) []projection.Neighbor { return v.rows[e] }
+
+// Overlap returns ω(∧ij), or 0 if i and j are not adjacent.
+func (v view) Overlap(i, j int32) int32 {
+	return projection.OverlapOf(v.rows[i], v.rows[j], i, j)
 }
 
 // Snapshot is an exported Counter state: the live edge set with its assigned
@@ -288,41 +330,11 @@ func FromSnapshot(s Snapshot) (*Counter, error) {
 		}
 		h := hashSet(set)
 		for _, other := range c.setIndex[h] {
-			if equal32(c.edges[other], set) {
+			if slices.Equal(c.edges[other], set) {
 				return nil, fmt.Errorf("%w: duplicate edge %d", ErrBadSnapshot, id)
 			}
 		}
-
-		// Splice the edge in exactly as Insert does, minus applyInstances.
-		ov := make(map[int32]int32)
-		for _, v := range set {
-			for f := range c.inc[v] {
-				ov[f]++
-			}
-		}
-		cp := append([]int32(nil), set...)
-		c.edges[id] = cp
-		for _, v := range cp {
-			in := c.inc[v]
-			if in == nil {
-				in = make(map[int32]struct{})
-				c.inc[v] = in
-			}
-			in[id] = struct{}{}
-		}
-		row := make(map[int32]int32, len(ov))
-		for f, w := range ov {
-			row[f] = w
-			nf := c.wadj[f]
-			if nf == nil {
-				nf = make(map[int32]int32)
-				c.wadj[f] = nf
-			}
-			nf[id] = w
-		}
-		c.wadj[id] = row
-		c.wedges += int64(len(ov))
-		c.setIndex[h] = append(c.setIndex[h], id)
+		c.link(id, slices.Clone(set), h)
 	}
 	c.nextID = s.NextID
 	if n := len(s.IDs); n > 0 && s.IDs[n-1] >= c.nextID {
@@ -335,75 +347,6 @@ func FromSnapshot(s Snapshot) (*Counter, error) {
 		c.counts[t] = s.Counts[t-1]
 	}
 	return c, nil
-}
-
-// applyInstances visits every h-motif instance containing edge e exactly
-// once — the Algorithm 4 inner loop: for each neighbor f, every candidate
-// third edge in N(e) or N(f), guarded so that pairs inside N(e) are visited
-// once — and adds sign to the corresponding motif count.
-func (c *Counter) applyInstances(e int32, sign int64) {
-	ne := c.wadj[e]
-	for f, wef := range ne {
-		nf := c.wadj[f]
-		// Third edge adjacent to e: visit each unordered pair {f, g} once.
-		for g, weg := range ne {
-			if g <= f {
-				continue
-			}
-			c.apply(e, f, g, wef, weg, nf[g], sign)
-		}
-		// Third edge adjacent to f only (e is the far leaf of an open
-		// instance centered on f).
-		for g, wfg := range nf {
-			if g == e {
-				continue
-			}
-			if _, adjacentToE := ne[g]; adjacentToE {
-				continue
-			}
-			c.apply(e, f, g, wef, 0, wfg, sign)
-		}
-	}
-}
-
-// apply classifies the triple {e, f, g} with pairwise overlaps (wef, weg,
-// wfg) and adds sign to the matching motif count. Invalid triples (motif id
-// 0, e.g. duplicated hyperedges) are impossible here because duplicates are
-// rejected at insertion, but are skipped defensively.
-func (c *Counter) apply(e, f, g int32, wef, weg, wfg int32, sign int64) {
-	a, b, d := c.edges[e], c.edges[f], c.edges[g]
-	var triple int
-	if wef > 0 && weg > 0 && wfg > 0 {
-		triple = tripleIntersection(a, b, d)
-	}
-	v := motif.VennFromCardinalities(len(a), len(b), len(d), int(wef), int(wfg), int(weg), triple)
-	if t := motif.FromPattern(v.Pattern()); t != 0 {
-		c.counts[t] += sign
-	}
-}
-
-// tripleIntersection returns |a ∩ b ∩ d| by scanning the smallest of the
-// three sorted sets and binary-searching the other two (Lemma 2).
-func tripleIntersection(a, b, d []int32) int {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	if len(d) < len(a) {
-		a, d = d, a
-	}
-	n := 0
-	for _, v := range a {
-		if contains(b, v) && contains(d, v) {
-			n++
-		}
-	}
-	return n
-}
-
-// contains reports whether sorted s contains v.
-func contains(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
 }
 
 // canonicalize copies, sorts and deduplicates a node list, validating ids.
@@ -440,16 +383,4 @@ func hashSet(set []int32) uint64 {
 		}
 	}
 	return h
-}
-
-func equal32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

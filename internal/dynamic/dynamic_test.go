@@ -2,7 +2,9 @@ package dynamic
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,7 +286,7 @@ func TestEdgeAccessors(t *testing.T) {
 	if len(ids) != 2 || ids[0] != a || ids[1] != b {
 		t.Fatalf("IDs = %v, want [%d %d]", ids, a, b)
 	}
-	if got := c.Edge(a); !equal32(got, []int32{1, 3, 5}) {
+	if got := c.Edge(a); !slices.Equal(got, []int32{1, 3, 5}) {
 		t.Fatalf("Edge(a) = %v", got)
 	}
 	if got := c.Edge(99); got != nil {
@@ -318,5 +320,32 @@ func TestLimitNodes(t *testing.T) {
 	// Unlimited counters accept any id.
 	if _, err := New().Insert([]int32{0, 2_000_000_000}); err != nil {
 		t.Fatalf("unlimited insert: %v", err)
+	}
+}
+
+// TestInsertStopsAtLastID asserts that edge ids never wrap: rows and
+// incidence lists take each new id as their largest, so a wrapped id would
+// break their order and, with it, every later count.
+func TestInsertStopsAtLastID(t *testing.T) {
+	c, err := FromSnapshot(Snapshot{
+		IDs:    []int32{math.MaxInt32 - 2},
+		Edges:  [][]int32{{0, 1}},
+		NextID: math.MaxInt32 - 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Insert([]int32{1, 2})
+	if err != nil || id != math.MaxInt32-1 {
+		t.Fatalf("Insert = %d, %v; want id %d", id, err, math.MaxInt32-1)
+	}
+	if _, err := c.Insert([]int32{1, 3}); err == nil {
+		t.Fatal("Insert after the last id succeeded")
+	}
+	if err := c.Delete(math.MaxInt32 - 2); err != nil {
+		t.Fatal(err)
+	}
+	if c.NumEdges() != 1 || c.NumWedges() != 0 {
+		t.Fatalf("after delete: %d edges, %d wedges; want 1, 0", c.NumEdges(), c.NumWedges())
 	}
 }

@@ -70,25 +70,36 @@ type nbrBuffers struct {
 	rng    *rand.Rand
 }
 
+// EdgeSets serves the node set of every hyperedge, ascending. MoCHy-A's
+// walker reads node sets only through it: a *hypergraph.Hypergraph is one,
+// and so is a live graph's counter (package dynamic).
+type EdgeSets interface {
+	Edge(e int) []int32
+}
+
 // countContaining is the one walker for "instances containing e_i" (lines
-// 4-7 of Algorithm 4): it accumulates one raw (unscaled) count for every
-// h-motif instance that contains the hyperedge with node set ei, visiting
-// each such instance exactly once. ni is its neighborhood, sorted by edge
-// and valid across Neighbors calls; self is its ID in g, or -1 for a node
-// set that is not one of g's edges. Every instance found through neighbor
-// e_j shares the pair {e_i, e_j}, so one pairClass per e_j classifies them
-// all. Edges of g set-equal to ei may sit in ni: every triple with one of
-// them classifies as motif 0.
-func countContaining(g *hypergraph.Hypergraph, p projection.Projector, ei []int32, self int32, ni []projection.Neighbor, out *Counts, buf *nbrBuffers) {
+// 4-7 of Algorithm 4). MoCHy-A runs it per sample, CountForNodeSet per
+// candidate hyperedge (Table 4's HM26 features), and CountContaining per
+// mutation of package dynamic's counter, which sits behind live graphs, the
+// stream estimator, temporal sweeps and the benchmark's reference counts. It
+// accumulates one raw (unscaled) count for every h-motif instance that
+// contains the hyperedge with node set ei, visiting each such instance
+// exactly once. ni is its neighborhood, sorted by edge and valid across
+// Neighbors calls; self is its ID in g, or -1 for a node set that is not one
+// of g's edges. Every instance found through neighbor e_j shares the pair
+// {e_i, e_j}, so one pairClass per e_j classifies them all. Edges of g
+// set-equal to ei may sit in ni: every triple with one of them classifies
+// as motif 0.
+func countContaining(g EdgeSets, p projection.Projector, ei []int32, self int32, ni []projection.Neighbor, out *Counts, buf *nbrBuffers) {
 	pc := &buf.pc
 	for a := 0; a < len(ni); a++ {
 		j, wij := ni[a].Edge, ni[a].Overlap
-		pc.reset(g, ei, j, wij)
+		pc.reset(ei, g.Edge(int(j)), wij)
 		// Candidates k ∈ N(e_i) with k after j in the list: both neighbors
 		// of i (the "k ∈ N(e_i) and j < k" branch, applied to list order).
 		for b := a + 1; b < len(ni); b++ {
 			k, wik := ni[b].Edge, ni[b].Overlap
-			if id := pc.motif(k, p.Overlap(j, k), wik); id != 0 {
+			if id := pc.motif(g.Edge(int(k)), p.Overlap(j, k), wik); id != 0 {
 				out[id-1]++
 			}
 		}
@@ -96,10 +107,10 @@ func countContaining(g *hypergraph.Hypergraph, p projection.Projector, ei []int3
 		buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
 		for _, nb := range buf.nj {
 			k := nb.Edge
-			if k == self || containsEdge(ni, k) {
+			if _, inNi := projection.Search(ni, k); inNi || k == self {
 				continue
 			}
-			if id := pc.motif(k, nb.Overlap, 0); id != 0 {
+			if id := pc.motif(g.Edge(int(k)), nb.Overlap, 0); id != 0 {
 				out[id-1]++
 			}
 		}
@@ -227,18 +238,4 @@ func parallelSamples(ctx context.Context, workers, n int, seed int64, sample fun
 		}
 	})
 	return total, err
-}
-
-// containsEdge binary-searches a sorted neighborhood for edge k.
-func containsEdge(ns []projection.Neighbor, k int32) bool {
-	lo, hi := 0, len(ns)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ns[mid].Edge < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ns) && ns[lo].Edge == k
 }

@@ -8,13 +8,14 @@ import (
 	"mochy/internal/generator"
 	"mochy/internal/hypergraph"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
 
 func TestEdgeSamplingFullCoverageUnbiased(t *testing.T) {
 	// Averaging many independent MoCHy-A runs must converge to the exact
 	// counts (Theorem 2). Uses a small graph and many trials.
 	rng := rand.New(rand.NewSource(100))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	exact := CountExact(g, p, 1)
 	if exact.Total() == 0 {
@@ -36,7 +37,7 @@ func TestEdgeSamplingFullCoverageUnbiased(t *testing.T) {
 
 func TestWedgeSamplingFullCoverageUnbiased(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	exact := CountExact(g, p, 1)
 	if exact.Total() == 0 {
@@ -64,7 +65,7 @@ func TestWedgeSamplingWithRejectionSampler(t *testing.T) {
 	// MoCHy-A+ over the rejection sampler (the on-the-fly configuration)
 	// must agree in expectation with the exact counts too.
 	rng := rand.New(rand.NewSource(300))
-	g := randomHypergraph(rng, 15, 25, 4)
+	g := testutil.RandomHypergraph(rng, 15, 25, 4)
 	p := projection.Build(g)
 	exact := CountExact(g, p, 1)
 	if exact.Total() == 0 || p.NumWedges() == 0 {
@@ -90,7 +91,7 @@ func TestWedgeSamplingWithRejectionSampler(t *testing.T) {
 // update concurrently (run under -race) and still read as a rate in (0, 1].
 func TestRejectionSamplerSharedByWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
-	g := randomHypergraph(rng, 15, 25, 4)
+	g := testutil.RandomHypergraph(rng, 15, 25, 4)
 	p := projection.Build(g)
 	sampler := projection.NewRejectionWedgeSampler(g)
 	if !sampler.HasWedges() {
@@ -104,7 +105,7 @@ func TestRejectionSamplerSharedByWorkers(t *testing.T) {
 
 func TestApproxDeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
-	g := randomHypergraph(rng, 25, 40, 5)
+	g := testutil.RandomHypergraph(rng, 25, 40, 5)
 	p := projection.Build(g)
 	a1 := CountEdgeSamples(g, p, 20, 7, 3)
 	a2 := CountEdgeSamples(g, p, 20, 7, 3)
@@ -132,7 +133,7 @@ func TestApproxZeroSamples(t *testing.T) {
 func TestApproxParallelUnbiased(t *testing.T) {
 	// Parallel sampling (multiple workers) must remain unbiased.
 	rng := rand.New(rand.NewSource(500))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	exact := CountExact(g, p, 1)
 	if exact.Total() == 0 {
@@ -156,7 +157,7 @@ func TestAPlusVarianceNotWorseThanA(t *testing.T) {
 	// no larger variance than MoCHy-A. Compare empirical total relative
 	// errors over repeated runs.
 	rng := rand.New(rand.NewSource(600))
-	g := randomHypergraph(rng, 30, 60, 5)
+	g := testutil.RandomHypergraph(rng, 30, 60, 5)
 	p := projection.Build(g)
 	exact := CountExact(g, p, 1)
 	if exact.Total() == 0 || p.NumWedges() == 0 {

@@ -2,6 +2,7 @@ package mochy
 
 import (
 	"sort"
+	"sync"
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/projection"
@@ -18,26 +19,29 @@ import (
 // candidates are future (absent) hyperedges.
 func CountForNodeSet(g *hypergraph.Hypergraph, p projection.Projector, nodes []int32) Counts {
 	cand := normalizeNodes(nodes)
-	// Neighborhood of the candidate: overlap with every edge of g that
-	// shares a node.
-	overlaps := make(map[int32]int32)
-	for _, v := range cand {
-		if int(v) >= g.NumNodes() || v < 0 {
-			continue
-		}
-		for _, e := range g.IncidentEdges(v) {
-			overlaps[e]++
-		}
-	}
-	ns := make([]projection.Neighbor, 0, len(overlaps))
-	for e, w := range overlaps {
-		ns = append(ns, projection.Neighbor{Edge: e, Overlap: w})
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a].Edge < ns[b].Edge })
+	ns := projection.ComputeNeighborhood(g, cand, -1, make(map[int32]int32))
 	var out Counts
 	countContaining(g, p, cand, -1, ns, &out, &nbrBuffers{})
 	return out
 }
+
+// CountContaining returns, for each h-motif, the raw number of instances
+// that contain hyperedge e, counted by MoCHy-A's walker over the node sets
+// g and the projected graph p. A live graph's counter (package dynamic)
+// adds it when e is inserted and subtracts it before e is deleted.
+func CountContaining(g EdgeSets, p projection.Projector, e int32) Counts {
+	buf := containingBufs.Get().(*nbrBuffers)
+	defer containingBufs.Put(buf)
+	var out Counts
+	buf.ni = append(buf.ni[:0], p.Neighbors(e)...)
+	countContaining(g, p, g.Edge(int(e)), e, buf.ni, &out, buf)
+	return out
+}
+
+// containingBufs recycles CountContaining's neighborhood copies and
+// classifier, so counting a live graph's mutations allocates nothing after
+// warm-up.
+var containingBufs = sync.Pool{New: func() any { return new(nbrBuffers) }}
 
 // normalizeNodes sorts and deduplicates a node list without mutating the
 // input.

@@ -7,6 +7,7 @@ import (
 	"mochy/internal/hypergraph"
 	"mochy/internal/motif"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
 
 // bruteCandidate classifies every pair of graph edges together with the
@@ -72,7 +73,7 @@ func bruteCandidate(g *hypergraph.Hypergraph, cand []int32) Counts {
 func TestCountForNodeSetMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomHypergraph(rng, 20, 25, 5)
+		g := testutil.RandomHypergraph(rng, 20, 25, 5)
 		p := projection.Build(g)
 		// Absent candidate.
 		candLen := 1 + rng.Intn(4)

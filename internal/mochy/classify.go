@@ -23,50 +23,47 @@ func Classify(g *hypergraph.Hypergraph, i, j, k int32) int {
 	return motif.FromPattern(v.Pattern())
 }
 
-// pairClass is the classifier of the pair loop and of MoCHy-A's walker
-// (countContaining, behind MoCHy-A and CountForNodeSet). It classifies the
-// triples {e_i, e_j, e_k} that share the pair {e_i, e_j}: an anchor and one
-// neighbour in the pair loop, or a sampled hyperedge or a candidate and one
-// neighbour in the walker. Lemma 2's triple intersection of a closed triple
-// is |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per pair, on the
-// first closed triple that needs it, and each closed triple then costs ω_ij
-// membership probes of e_k. The walker visits only part of a pair's closed
-// triples, so probes cost it less than walking S's incidence lists would.
-// The oriented counter's triangles take the triple intersection from node
-// masks instead (see closeTriangles), and MoCHy-A+ from an incidence walk
-// per sampled wedge (see countContainingWedge).
+// pairClass is the classifier of the pair loop and of MoCHy-A's walker. It
+// classifies the triples {e_i, e_j, e_k} that share the pair {e_i, e_j}: an
+// anchor and one neighbour in the pair loop, or in the walker the hyperedge
+// whose instances are counted (a sampled hyperedge, a candidate, or a live
+// graph's inserted or deleted hyperedge) and one neighbour. It reads only
+// the node sets its callers hand it. Lemma 2's triple intersection of a
+// closed triple is |S ∩ e_k| for S = e_i ∩ e_j, so S is computed once per
+// pair, on the first closed triple that needs it, and each closed triple
+// then costs ω_ij membership probes of e_k. The walker visits only part of a
+// pair's closed triples, so probes cost it less than walking S's incidence
+// lists would. The oriented counter's triangles take the triple
+// intersection from node masks instead (see closeTriangles), and MoCHy-A+
+// from an incidence walk per sampled wedge (see countContainingWedge).
 type pairClass struct {
-	g          *hypergraph.Hypergraph
-	ei         []int32 // e_i's nodes, ascending
-	j          int32
-	si, sj     int32 // |e_i|, |e_j|
-	wij        int32 // ω_ij
+	ei, ej     []int32 // node sets of e_i and e_j, ascending
+	si, sj     int32   // |e_i|, |e_j|
+	wij        int32   // ω_ij
 	shared     []int32
 	haveShared bool
 }
 
-// reset points c at the pair {e_i, e_j} with overlap wij, where ei is the
-// node set of e_i (an edge of g, or a candidate that is not) and j is an
-// edge of g.
-func (c *pairClass) reset(g *hypergraph.Hypergraph, ei []int32, j, wij int32) {
-	c.g, c.ei, c.j, c.wij = g, ei, j, wij
-	c.si, c.sj = int32(len(ei)), int32(g.EdgeSize(int(j)))
+// reset points c at the pair {e_i, e_j} with node sets ei and ej and
+// overlap wij.
+func (c *pairClass) reset(ei, ej []int32, wij int32) {
+	c.ei, c.ej, c.wij = ei, ej, wij
+	c.si, c.sj = int32(len(ei)), int32(len(ej))
 	c.haveShared = false
 }
 
-// motif returns the motif ID of {e_i, e_j, e_k} given ω_jk and ω_ik, or 0
-// for an invalid triple.
-func (c *pairClass) motif(k, wjk, wik int32) int {
+// motif returns the motif ID of {e_i, e_j, e_k}, for e_k with node set ek,
+// given ω_jk and ω_ik, or 0 for an invalid triple.
+func (c *pairClass) motif(ek []int32, wjk, wik int32) int {
 	var abc int32
 	if wjk > 0 && wik > 0 {
 		if !c.haveShared {
-			c.shared = intersect(c.shared[:0], c.ei, c.g.Edge(int(c.j)))
+			c.shared = intersect(c.shared[:0], c.ei, c.ej)
 			c.haveShared = true
 		}
-		abc = countMembers(c.shared, c.g.Edge(int(k)))
+		abc = countMembers(c.shared, ek)
 	}
-	sk := int32(c.g.EdgeSize(int(k)))
-	return motif.FromPattern(patternOf(c.si, c.sj, sk, c.wij, wjk, wik, abc))
+	return motif.FromPattern(patternOf(c.si, c.sj, int32(len(ek)), c.wij, wjk, wik, abc))
 }
 
 // patternOf returns the emptiness pattern of the triple {a, b, c} from the

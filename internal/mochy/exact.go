@@ -62,7 +62,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, vi
 	ei := k.g.Edge(int(i))
 	for a := 0; a+1 < len(ns); a++ {
 		j, wij := ns[a].Edge, ns[a].Overlap
-		pc.reset(k.g, ei, j, wij)
+		pc.reset(ei, k.g.Edge(int(j)), wij)
 		rest := ns[a+1:]
 		if k.proj != nil && k.proj.Degree(j) < mergeFactor*len(rest) {
 			adjJ := k.p.Neighbors(j)
@@ -79,7 +79,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, vi
 				if wjk != 0 && (i > j || i > kk) {
 					continue // closed: counted only from the smallest ID
 				}
-				if id := pc.motif(kk, wjk, wik); id != 0 {
+				if id := pc.motif(k.g.Edge(int(kk)), wjk, wik); id != 0 {
 					visit(i, j, kk, id)
 				}
 			}
@@ -91,7 +91,7 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, pc *pairClass, vi
 			if wjk != 0 && (i > j || i > kk) {
 				continue
 			}
-			if id := pc.motif(kk, wjk, wik); id != 0 {
+			if id := pc.motif(k.g.Edge(int(kk)), wjk, wik); id != 0 {
 				visit(i, j, kk, id)
 			}
 		}

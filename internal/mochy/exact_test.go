@@ -9,6 +9,7 @@ import (
 	"mochy/internal/hypergraph"
 	"mochy/internal/motif"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
 
 // paperExample is the hypergraph of Figure 2(b).
@@ -48,7 +49,7 @@ func TestCountExactPaperExample(t *testing.T) {
 func TestCountExactMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomHypergraph(rng, 15+rng.Intn(15), 20+rng.Intn(20), 6)
+		g := testutil.RandomHypergraph(rng, 15+rng.Intn(15), 20+rng.Intn(20), 6)
 		p := projection.Build(g)
 		got := CountExact(g, p, 1)
 		want := bruteForceCounts(g)
@@ -60,7 +61,7 @@ func TestCountExactMatchesBruteForce(t *testing.T) {
 
 func TestCountExactParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := randomHypergraph(rng, 40, 80, 6)
+	g := testutil.RandomHypergraph(rng, 40, 80, 6)
 	p := projection.Build(g)
 	serial := CountExact(g, p, 1)
 	for _, workers := range []int{2, 3, 8} {
@@ -72,7 +73,7 @@ func TestCountExactParallelMatchesSerial(t *testing.T) {
 
 func TestCountExactOnMemoizedProjector(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := randomHypergraph(rng, 25, 40, 5)
+	g := testutil.RandomHypergraph(rng, 25, 40, 5)
 	static := projection.Build(g)
 	want := CountExact(g, static, 1)
 	for _, budget := range []int64{0, 20, 1 << 20} {
@@ -85,7 +86,7 @@ func TestCountExactOnMemoizedProjector(t *testing.T) {
 
 func TestEnumerateVisitsEachInstanceOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	seen := make(map[[3]int32]int)
 	Enumerate(g, p, func(ins Instance) bool {
@@ -163,7 +164,7 @@ func referenceEnumerate(g *hypergraph.Hypergraph, p projection.Projector) []Inst
 func TestEnumerateOrderMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := skewedRandomHypergraph(rng, 30, 90)
+		g := testutil.SkewedHypergraph(rng, 30, 90)
 		p := projection.Build(g)
 		want := referenceEnumerate(g, p)
 		var got []Instance
@@ -186,7 +187,7 @@ func TestEnumerateOrderMatchesReference(t *testing.T) {
 // again, even when the stopping anchor has more instances.
 func TestEnumerateStopsAfterFalse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	g := skewedRandomHypergraph(rng, 30, 90)
+	g := testutil.SkewedHypergraph(rng, 30, 90)
 	p := projection.Build(g)
 	want := referenceEnumerate(g, p)
 	if len(want) < 10 {
@@ -213,7 +214,7 @@ func TestEnumerateStopsAfterFalse(t *testing.T) {
 // cancellation cause and fills KernelStats like CountExactOpts.
 func TestPerEdgeCountsCancellationAndStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	g := skewedRandomHypergraph(rng, 60, 180)
+	g := testutil.SkewedHypergraph(rng, 60, 180)
 	p := projection.Build(g)
 	per, _, stats, err := PerEdgeCounts(context.Background(), g, p, Options{Workers: 4})
 	if err != nil || len(per) != g.NumEdges() {
@@ -269,7 +270,7 @@ func TestPerEdgeCounts(t *testing.T) {
 
 func TestPerEdgeCountsParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	g := randomHypergraph(rng, 30, 60, 5)
+	g := testutil.RandomHypergraph(rng, 30, 60, 5)
 	p := projection.Build(g)
 	serialPer, serialTotal := perEdge(t, g, p, 1)
 	for _, workers := range []int{2, 4} {
@@ -295,7 +296,7 @@ func TestCountExactInvariantUnderEdgeRelabeling(t *testing.T) {
 	// anchor position).
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomHypergraph(rng, 20, 30, 5)
+		g := testutil.RandomHypergraph(rng, 20, 30, 5)
 		base := CountExact(g, projection.Build(g), 1)
 
 		perm := rng.Perm(g.NumEdges())
@@ -385,21 +386,4 @@ func TestRelativeError(t *testing.T) {
 	if got := zero.RelativeError(&zero); got != 0 {
 		t.Fatalf("RelativeError of zero counts = %v, want 0", got)
 	}
-}
-
-func randomHypergraph(rng *rand.Rand, nodes, edges, maxSize int) *hypergraph.Hypergraph {
-	b := hypergraph.NewBuilder(nodes)
-	for i := 0; i < edges; i++ {
-		sz := 1 + rng.Intn(maxSize)
-		e := make([]int32, sz)
-		for j := range e {
-			e[j] = int32(rng.Intn(nodes))
-		}
-		b.AddEdge(e)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

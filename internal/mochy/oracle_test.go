@@ -20,66 +20,10 @@ import (
 	"mochy/internal/testutil"
 )
 
-// oracleFamilies are the graph shapes the oracle draws from, each built
-// from a seeded RNG:
-//   - uniform node picks;
-//   - zipf-skewed picks, which grow hub hyperedges so that cost-aware
-//     chunks, degree orientation and the merge walk all engage;
-//   - repeated and nested hyperedges kept by KeepDuplicates, where
-//     e_j ⊆ e_i and e_j = e_i decide the subset bit of the open tallies;
-//   - singleton edges over a few nodes, whose neighbourhoods are cliques;
-//   - one anchor wider than 64 nodes whose triangles share nodes past its
-//     first mask word (see wideAnchorHypergraph).
-var oracleFamilies = []struct {
-	name  string
-	build func(rng *rand.Rand) *hypergraph.Hypergraph
-}{
-	{"uniform", func(rng *rand.Rand) *hypergraph.Hypergraph {
-		return randomHypergraph(rng, 15+rng.Intn(15), 20+rng.Intn(20), 6)
-	}},
-	{"skewed", func(rng *rand.Rand) *hypergraph.Hypergraph {
-		return skewedRandomHypergraph(rng, 30+rng.Intn(30), 40+rng.Intn(40))
-	}},
-	{"duplicates", testutil.DuplicateHypergraph},
-	{"singletons", testutil.SingletonHypergraph},
-	{"wide", wideAnchorHypergraph},
-}
-
-// wideAnchorHypergraph builds one hyperedge of 65–184 nodes, edge 0, and 40
-// small edges of 2 nodes each from a 5-node pool, which overlap one another
-// so densely that they outrank the wide edge in (degree, id) order. Eight of
-// them also hold 1–2 of the wide edge's nodes at positions 60 and up, so the
-// oriented counter lists their triangles from the wide edge, with triple
-// intersections in mask words past the first.
-func wideAnchorHypergraph(rng *rand.Rand) *hypergraph.Hypergraph {
-	const pool = 5
-	size := 65 + rng.Intn(120)
-	b := hypergraph.NewBuilder(pool + size)
-	wide := make([]int32, size)
-	for i := range wide {
-		wide[i] = int32(pool + i)
-	}
-	b.AddEdge(wide)
-	for i := 0; i < 40; i++ {
-		a := rng.Intn(pool)
-		e := []int32{int32(a), int32((a + 1 + rng.Intn(pool-1)) % pool)}
-		if i < 8 {
-			for n := 1 + rng.Intn(2); n > 0; n-- {
-				e = append(e, wide[60+rng.Intn(size-60)])
-			}
-		}
-		b.AddEdge(e)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// oracleGraph builds the oracle input of one family from a seed.
+// oracleGraph builds the oracle input of one family of testutil.Families
+// from a seed.
 func oracleGraph(family int, seed int64) *hypergraph.Hypergraph {
-	return oracleFamilies[family].build(rand.New(rand.NewSource(seed)))
+	return testutil.Families[family].Build(rand.New(rand.NewSource(seed)))
 }
 
 // bruteForceResult is the oracle's reference: aggregate counts, per-edge
@@ -221,8 +165,8 @@ func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget in
 func oracleSeed(t *testing.T, seed int64) {
 	t.Helper()
 	budget := []int64{0, 20, 1 << 16}[uint64(seed)%3]
-	for f, fam := range oracleFamilies {
-		checkOracle(t, fam.name, oracleGraph(f, seed), budget)
+	for f, fam := range testutil.Families {
+		checkOracle(t, fam.Name, oracleGraph(f, seed), budget)
 	}
 }
 
@@ -232,7 +176,7 @@ func oracleSeed(t *testing.T, seed int64) {
 // word.
 func TestOracleWideAnchorFamily(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		g := wideAnchorHypergraph(rand.New(rand.NewSource(seed)))
+		g := testutil.WideAnchorHypergraph(rand.New(rand.NewSource(seed)))
 		if g.EdgeSize(0) <= 64 {
 			t.Fatalf("seed %d: edge 0 has %d nodes, want more than 64", seed, g.EdgeSize(0))
 		}

@@ -10,29 +10,8 @@ import (
 
 	"mochy/internal/hypergraph"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
-
-// skewedRandomHypergraph builds a power-law-ish hypergraph: node picks follow
-// a Zipf distribution, so a few nodes sit in many hyperedges and the
-// projected graph grows hub hyperedges with quadratic anchor work — the
-// degree profile that breaks static work partitioning.
-func skewedRandomHypergraph(rng *rand.Rand, nodes, edges int) *hypergraph.Hypergraph {
-	zipf := rand.NewZipf(rng, 1.3, 1, uint64(nodes-1))
-	b := hypergraph.NewBuilder(nodes)
-	for i := 0; i < edges; i++ {
-		sz := 2 + rng.Intn(5)
-		e := make([]int32, sz)
-		for j := range e {
-			e[j] = int32(zipf.Uint64())
-		}
-		b.AddEdge(e)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
 
 // TestCountExactParallelMatchesSerialSkewed is the scheduling property test:
 // on degree-skewed graphs — where chunk boundaries, the cheapest-side probe,
@@ -41,7 +20,7 @@ func skewedRandomHypergraph(rng *rand.Rand, nodes, edges int) *hypergraph.Hyperg
 func TestCountExactParallelMatchesSerialSkewed(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := skewedRandomHypergraph(rng, 30+rng.Intn(30), 60+rng.Intn(60))
+		g := testutil.SkewedHypergraph(rng, 30+rng.Intn(30), 60+rng.Intn(60))
 		p := projection.Build(g)
 		serial := CountExact(g, p, 1)
 		if want := bruteForceCounts(g); serial != want {
@@ -65,7 +44,7 @@ func TestCountExactParallelMatchesSerialSkewed(t *testing.T) {
 // to the serial enumeration on the same skewed shapes.
 func TestPerEdgeCountsParallelMatchesSerialSkewed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := skewedRandomHypergraph(rng, 40, 90)
+	g := testutil.SkewedHypergraph(rng, 40, 90)
 	p := projection.Build(g)
 	serialPer, serialTotal := perEdge(t, g, p, 1)
 	for _, workers := range []int{2, 3, 8} {
@@ -88,7 +67,7 @@ func TestPerEdgeCountsParallelMatchesSerialSkewed(t *testing.T) {
 // chunksPerWorker chunks per worker, and report coherent balance numbers.
 func TestCountExactOptsStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := skewedRandomHypergraph(rng, 60, 180)
+	g := testutil.SkewedHypergraph(rng, 60, 180)
 	p := projection.Build(g)
 	want := CountExact(g, p, 1)
 	c, stats, err := CountExactOpts(context.Background(), g, p, Options{Workers: 4})
@@ -127,7 +106,7 @@ func TestCountExactOptsStats(t *testing.T) {
 // and surfaces the cancellation cause instead of counts.
 func TestCountExactOptsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := skewedRandomHypergraph(rng, 40, 120)
+	g := testutil.SkewedHypergraph(rng, 40, 120)
 	p := projection.Build(g)
 	cause := errors.New("job evicted")
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -150,7 +129,7 @@ func TestCountExactOptsCancellation(t *testing.T) {
 // several blocks.
 func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := skewedRandomHypergraph(rng, 30, 70)
+	g := testutil.SkewedHypergraph(rng, 30, 70)
 	p := projection.Build(g)
 	for _, n := range []int{1, sampleBlock, sampleBlock + 1, 300} {
 		edgeBase := CountEdgeSamples(g, p, n, 99, 1)
@@ -188,7 +167,7 @@ func TestSamplingRejectsUnschedulableBudget(t *testing.T) {
 // exactly and the cursor hands out every chunk once.
 func TestChunkSchedPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := skewedRandomHypergraph(rng, 50, 200)
+	g := testutil.SkewedHypergraph(rng, 50, 200)
 	for _, p := range []projection.Projector{
 		projection.Build(g),
 		projection.NewMemoized(g, 1<<16, projection.PolicyDegree),
@@ -237,7 +216,7 @@ func TestChunkSchedEmptyGraph(t *testing.T) {
 // CountExact.
 func TestCountExactProgressStillReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g := skewedRandomHypergraph(rng, 50, 300)
+	g := testutil.SkewedHypergraph(rng, 50, 300)
 	p := projection.Build(g)
 	want := CountExact(g, p, 1)
 	var calls int

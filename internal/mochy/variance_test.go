@@ -7,6 +7,7 @@ import (
 
 	"mochy/internal/motif"
 	"mochy/internal/projection"
+	"mochy/internal/testutil"
 )
 
 func TestPairStatisticsBasics(t *testing.T) {
@@ -77,7 +78,7 @@ func checkVarianceAgreement(t *testing.T, label string, emp, theory [motif.Count
 
 func TestTheorem2VarianceMatchesMonteCarlo(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	st := ComputePairStatistics(g, p)
 	s := 6
@@ -91,7 +92,7 @@ func TestTheorem2VarianceMatchesMonteCarlo(t *testing.T) {
 
 func TestTheorem4VarianceMatchesMonteCarlo(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	g := randomHypergraph(rng, 20, 30, 5)
+	g := testutil.RandomHypergraph(rng, 20, 30, 5)
 	p := projection.Build(g)
 	if p.NumWedges() == 0 {
 		t.Skip("no wedges")
@@ -111,7 +112,7 @@ func TestVarianceNonNegative(t *testing.T) {
 	// motif has no instances.
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomHypergraph(rng, 15, 25, 5)
+		g := testutil.RandomHypergraph(rng, 15, 25, 5)
 		p := projection.Build(g)
 		st := ComputePairStatistics(g, p)
 		va := EdgeSamplingVariance(st, g.NumEdges(), 3)
@@ -141,7 +142,7 @@ func TestWedgeSharingBoundedByEdgeSharing(t *testing.T) {
 	// covered by TestAPlusVarianceNotWorseThanA.)
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomHypergraph(rng, 20, 40, 5)
+		g := testutil.RandomHypergraph(rng, 20, 40, 5)
 		p := projection.Build(g)
 		st := ComputePairStatistics(g, p)
 		for tt := 0; tt < motif.Count; tt++ {

@@ -265,6 +265,27 @@ func TestRunStageFailureNamesStage(t *testing.T) {
 	}
 }
 
+// TestTemporalCapSpansFullInt64Range asserts the window cap holds when the
+// graph's time range spans more than math.MaxInt64: hi-lo used to wrap
+// negative and pass the cap, and the sweep then ran for 1.8e19 windows. The
+// deadline turns a regression into a failure instead of a hang.
+func TestTemporalCapSpansFullInt64Range(t *testing.T) {
+	b := hypergraph.NewBuilder(3)
+	b.AddTimedEdge([]int32{0, 1}, -9e18)
+	b.AddTimedEdge([]int32{1, 2}, 9e18)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("build timed graph: %v", err)
+	}
+	env, _ := testEnv(g, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	_, err = Run(ctx, env, mustParse(t, stage("windows", "temporal", `{"width": 1, "stride": 1}`)))
+	if err == nil || !strings.Contains(err.Error(), "cap of 4096 windows") {
+		t.Fatalf("Run = %v, want the window cap's refusal", err)
+	}
+}
+
 // TestRunAllStageKinds runs every operator once on one timed graph: the
 // smoke test that the dormant analytics packages are actually reachable.
 func TestRunAllStageKinds(t *testing.T) {

@@ -341,15 +341,18 @@ func runTemporal(ctx context.Context, env *Env, p *api.TemporalParams) (api.Temp
 		if !env.Graph.Timed() {
 			return api.TemporalResult{}, false, temporal.ErrUntimed
 		}
+		// hi-lo as a uint64 is the exact span even where the int64
+		// subtraction wraps, and the sweep takes at most span/stride + 1
+		// windows.
 		lo, hi := env.Graph.TimeRange()
-		if windows := (hi-lo)/p.Stride + 1; windows > maxTemporalWindows {
-			return api.TemporalResult{}, false, fmt.Errorf("stride %d yields %d windows over time range [%d, %d], exceeding the cap of %d", p.Stride, windows, lo, hi, maxTemporalWindows)
+		if steps := uint64(hi-lo) / uint64(p.Stride); steps >= maxTemporalWindows {
+			return api.TemporalResult{}, false, fmt.Errorf("stride %d over time range [%d, %d] yields more than the cap of %d windows", p.Stride, lo, hi, maxTemporalWindows)
 		}
 	}
 	params := fmt.Sprintf("w=%d|s=%d", p.Width, p.Stride)
-	res, cached, err := serve(ctx, env, api.StageTemporal, params, false, func(context.Context) (api.TemporalResult, error) {
+	res, cached, err := serve(ctx, env, api.StageTemporal, params, false, func(ctx context.Context) (api.TemporalResult, error) {
 		start := time.Now()
-		windows, err := temporal.Sweep(env.Graph, temporal.Config{Width: p.Width, Stride: p.Stride})
+		windows, err := temporal.Sweep(ctx, env.Graph, temporal.Config{Width: p.Width, Stride: p.Stride})
 		if err != nil {
 			return api.TemporalResult{}, err
 		}

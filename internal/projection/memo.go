@@ -111,7 +111,7 @@ func (m *Memoized) Neighbors(e int32) []Neighbor {
 		return ns
 	}
 	m.computes++
-	ns := ComputeNeighborhood(m.g, e, m.scratch)
+	ns := ComputeNeighborhood(m.g, m.g.Edge(int(e)), e, m.scratch)
 	m.maybeRetain(e, ns)
 	return ns
 }

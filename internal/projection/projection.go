@@ -161,11 +161,7 @@ func (p *Projected) Degree(e int32) int { return int(p.off[e+1] - p.off[e]) }
 // smaller of the two neighborhoods, so a probe between a projected-graph hub
 // and a hyperedge with a handful of neighbors costs the small side's log.
 func (p *Projected) Overlap(i, j int32) int32 {
-	ni, nj := p.Neighbors(i), p.Neighbors(j)
-	if len(nj) < len(ni) {
-		return lookupOverlap(nj, i)
-	}
-	return lookupOverlap(ni, j)
+	return OverlapOf(p.Neighbors(i), p.Neighbors(j), i, j)
 }
 
 // OverlapOriented is Overlap, which already probes the cheaper side.
@@ -193,23 +189,55 @@ func (p *Projected) MaxDegree() int {
 	return m
 }
 
-// lookupOverlap binary-searches a sorted neighborhood for edge j.
+// Search returns the position of edge e in the neighborhood ns, sorted by
+// Edge, or the position where e would be inserted, and whether e is there.
+// It is the one binary search over neighborhoods, and MoCHy-A's walker runs
+// it for every open candidate, so it takes no closure.
+func Search(ns []Neighbor, e int32) (int, bool) {
+	lo, hi := 0, len(ns)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ns[mid].Edge < e {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ns) && ns[lo].Edge == e
+}
+
+// lookupOverlap returns the overlap stored for edge j in the sorted
+// neighborhood ns, or 0 if j is not in it.
 func lookupOverlap(ns []Neighbor, j int32) int32 {
-	i := sort.Search(len(ns), func(i int) bool { return ns[i].Edge >= j })
-	if i < len(ns) && ns[i].Edge == j {
-		return ns[i].Overlap
+	if x, ok := Search(ns, j); ok {
+		return ns[x].Overlap
 	}
 	return 0
 }
 
-// ComputeNeighborhood computes the exact neighborhood of hyperedge e directly
-// from the hypergraph, without any precomputed projection. scratch is reused
-// across calls; pass the same map to amortize allocations.
-func ComputeNeighborhood(g *hypergraph.Hypergraph, e int32, scratch map[int32]int32) []Neighbor {
+// OverlapOf returns ω(∧ij) from the neighborhoods ni of i and nj of j,
+// searching the smaller one.
+func OverlapOf(ni, nj []Neighbor, i, j int32) int32 {
+	if len(nj) < len(ni) {
+		return lookupOverlap(nj, i)
+	}
+	return lookupOverlap(ni, j)
+}
+
+// ComputeNeighborhood computes the exact neighborhood of the node set nodes
+// directly from the hypergraph, without any precomputed projection: every
+// edge of g that shares a node with it, except skip (−1 for none, or the
+// edge whose node set nodes is). Node ids outside [0, |V|) belong to no edge
+// of g and are skipped. scratch is reused across calls; pass the same map to
+// amortize allocations.
+func ComputeNeighborhood(g *hypergraph.Hypergraph, nodes []int32, skip int32, scratch map[int32]int32) []Neighbor {
 	clear(scratch)
-	for _, v := range g.Edge(int(e)) {
+	for _, v := range nodes {
+		if v < 0 || int(v) >= g.NumNodes() {
+			continue
+		}
 		for _, j := range g.IncidentEdges(v) {
-			if j != e {
+			if j != skip {
 				scratch[j]++
 			}
 		}

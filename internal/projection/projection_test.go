@@ -95,7 +95,7 @@ func TestComputeNeighborhoodMatchesBuild(t *testing.T) {
 	p := Build(g)
 	scratch := make(map[int32]int32)
 	for e := int32(0); int(e) < g.NumEdges(); e++ {
-		got := ComputeNeighborhood(g, e, scratch)
+		got := ComputeNeighborhood(g, g.Edge(int(e)), e, scratch)
 		want := p.Neighbors(e)
 		if len(got) != len(want) {
 			t.Fatalf("edge %d: neighborhood size %d, want %d", e, len(got), len(want))

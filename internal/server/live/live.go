@@ -3,10 +3,11 @@
 // A static registry entry is immutable: changing one hyperedge means
 // re-uploading the whole graph and recounting from scratch. A live.Graph
 // instead keeps exact h-motif counts current under hyperedge insertions and
-// deletions by delegating to dynamic.Counter, whose per-update cost is the
-// Theorem 3 per-sample bound (neighborhood of the updated hyperedge) rather
-// than a full MoCHy-E pass. Reading the counts is O(1): they are maintained,
-// not computed.
+// deletions by delegating to dynamic.Counter, which counts the instances
+// each update gains or loses with MoCHy-A's walker, the kernel's
+// per-sample work over the updated hyperedge's neighborhood, rather than a
+// full MoCHy-E pass. Reading the counts is O(1): they are maintained, not
+// computed.
 //
 // Every graph serializes its operations through a single-writer apply loop:
 // one goroutine owns the counter (and the optional reservoir estimator) and

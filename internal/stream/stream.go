@@ -3,12 +3,12 @@
 // (Trièst [22], cited in the paper's related work) from edges and triangles
 // to hyperedges and h-motif instances.
 //
-// The estimator holds a uniform reservoir of at most M hyperedges. When the
-// t-th hyperedge e arrives, every h-motif instance formed by e and two
-// reservoir hyperedges is found by the same projected-neighborhood scan the
-// dynamic counter uses, and the matching estimate is incremented by the
-// reciprocal of the probability that both earlier hyperedges are still in
-// the reservoir:
+// The estimator holds a uniform reservoir of at most M hyperedges in a
+// dynamic counter. When the t-th hyperedge e arrives, it is inserted there,
+// so every h-motif instance formed by e and two reservoir hyperedges is
+// found by MoCHy-A's walker over e's projected neighborhood, and the
+// matching estimate is incremented by the reciprocal of the probability
+// that both earlier hyperedges are still in the reservoir:
 //
 //	1                     if t-1 <= M
 //	(t-1)(t-2) / (M(M-1)) otherwise

@@ -11,8 +11,10 @@
 package temporal
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"mochy/internal/dynamic"
@@ -30,8 +32,10 @@ var (
 
 // Config parameterizes a sliding-window sweep. Windows are half-open time
 // intervals [Start, Start+Width) advanced by Stride; the sweep starts at the
-// earliest edge timestamp and ends with the first window that covers the
-// latest one.
+// earliest edge timestamp and ends with the first window that ends past the
+// latest one. Start+Width and Start+Stride are taken without overflow: where
+// they pass math.MaxInt64, the window reaches every later timestamp and its
+// End reads math.MaxInt64.
 type Config struct {
 	Width  int64
 	Stride int64
@@ -39,7 +43,7 @@ type Config struct {
 
 // Window is the exact h-motif census of one time window.
 type Window struct {
-	Start, End int64 // half-open interval [Start, End)
+	Start, End int64 // half-open interval [Start, End), End saturated at math.MaxInt64
 	Edges      int   // live hyperedges in the window
 	Counts     counting.Counts
 }
@@ -56,8 +60,9 @@ func (w *Window) Fractions() [motif.Count]float64 { return w.Counts.Fractions() 
 // h-motif census per window. Edges are inserted into and deleted from a
 // dynamic counter as the window advances, so the total work is proportional
 // to the number of window transitions each hyperedge makes, not to the
-// number of windows times the graph size.
-func Sweep(g *hypergraph.Hypergraph, cfg Config) ([]Window, error) {
+// number of windows times the graph size. It checks ctx between windows
+// and returns context.Cause once ctx is done.
+func Sweep(ctx context.Context, g *hypergraph.Hypergraph, cfg Config) ([]Window, error) {
 	if cfg.Width <= 0 || cfg.Stride <= 0 {
 		return nil, ErrBadWindow
 	}
@@ -83,9 +88,11 @@ func Sweep(g *hypergraph.Hypergraph, cfg Config) ([]Window, error) {
 	ids := make(map[int]int32, len(order))
 	var windows []Window
 	addPtr, remPtr := 0, 0
-	for start := minT; ; start += cfg.Stride {
-		end := start + cfg.Width
-		for addPtr < len(order) && g.Time(order[addPtr]) < end {
+	for start := minT; ; start = addSat(start, cfg.Stride) {
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		for addPtr < len(order) && before(g.Time(order[addPtr]), start, cfg.Width) {
 			e := order[addPtr]
 			if g.Time(e) >= start {
 				id, err := c.Insert(g.Edge(e))
@@ -108,15 +115,30 @@ func Sweep(g *hypergraph.Hypergraph, cfg Config) ([]Window, error) {
 		}
 		windows = append(windows, Window{
 			Start:  start,
-			End:    end,
+			End:    addSat(start, cfg.Width),
 			Edges:  c.NumEdges(),
 			Counts: c.Counts(),
 		})
-		if end > maxT {
+		if before(maxT, start, cfg.Width) {
 			break
 		}
 	}
 	return windows, nil
+}
+
+// before reports whether t < start+width for width > 0, without forming the
+// sum: for t >= start, t-start as a uint64 is the exact distance even where
+// the int64 subtraction wraps.
+func before(t, start, width int64) bool {
+	return t < start || uint64(t-start) < uint64(width)
+}
+
+// addSat returns a+b for b > 0, or math.MaxInt64 where the sum overflows.
+func addSat(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // Drift returns, for each window after the first, one minus the Pearson

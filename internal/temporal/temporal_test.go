@@ -1,10 +1,13 @@
 package temporal
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mochy/internal/generator"
 	"mochy/internal/hypergraph"
@@ -29,12 +32,12 @@ func timedGraph(t *testing.T, edges [][]int32, times []int64, nodes int) *hyperg
 
 func TestSweepErrors(t *testing.T) {
 	untimed := hypergraph.FromEdges(3, [][]int32{{0, 1, 2}})
-	if _, err := Sweep(untimed, Config{Width: 1, Stride: 1}); err != ErrUntimed {
+	if _, err := Sweep(context.Background(), untimed, Config{Width: 1, Stride: 1}); err != ErrUntimed {
 		t.Fatalf("untimed: got %v, want ErrUntimed", err)
 	}
 	timed := timedGraph(t, [][]int32{{0, 1}}, []int64{0}, 2)
 	for _, cfg := range []Config{{Width: 0, Stride: 1}, {Width: 1, Stride: 0}, {Width: -2, Stride: 3}} {
-		if _, err := Sweep(timed, cfg); err != ErrBadWindow {
+		if _, err := Sweep(context.Background(), timed, cfg); err != ErrBadWindow {
 			t.Fatalf("config %+v: got %v, want ErrBadWindow", cfg, err)
 		}
 	}
@@ -48,7 +51,7 @@ func TestSweepHandExample(t *testing.T) {
 	g := timedGraph(t, edges, times, 5)
 
 	// Width 3 from t=0 covers everything in the first window.
-	windows, err := Sweep(g, Config{Width: 3, Stride: 1})
+	windows, err := Sweep(context.Background(), g, Config{Width: 3, Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestSweepHandExample(t *testing.T) {
 	}
 
 	// Width 1: no window ever holds more than one edge, so no instances.
-	narrow, err := Sweep(g, Config{Width: 1, Stride: 1})
+	narrow, err := Sweep(context.Background(), g, Config{Width: 1, Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestSweepMatchesSliceRecount(t *testing.T) {
 		{Width: 1, Stride: 3}, // stride larger than width: gaps are legal
 		{Width: 5, Stride: 2},
 	} {
-		windows, err := Sweep(g, wcfg)
+		windows, err := Sweep(context.Background(), g, wcfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", wcfg, err)
 		}
@@ -120,7 +123,7 @@ func TestSweepMatchesSliceRecount(t *testing.T) {
 
 func TestSweepCoversFullRange(t *testing.T) {
 	g := timedGraph(t, [][]int32{{0, 1}, {1, 2}, {2, 3}}, []int64{0, 5, 10}, 4)
-	windows, err := Sweep(g, Config{Width: 4, Stride: 4})
+	windows, err := Sweep(context.Background(), g, Config{Width: 4, Stride: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestSweepEmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = g.TimeSlice(100, 200) // empty but still timed
-	windows, err := Sweep(g, Config{Width: 2, Stride: 1})
+	windows, err := Sweep(context.Background(), g, Config{Width: 2, Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestOpenFractionRises(t *testing.T) {
 	cfg.EdgesLast = 300
 	g := generator.GenerateTemporal(cfg)
 
-	windows, err := Sweep(g, Config{Width: 3, Stride: 3})
+	windows, err := Sweep(context.Background(), g, Config{Width: 3, Stride: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestDriftAndMostAnomalous(t *testing.T) {
 		times = append(times, int64(i), int64(i), int64(i))
 	}
 	g := timedGraph(t, edges, times, 80)
-	windows, err := Sweep(g, Config{Width: 2, Stride: 1})
+	windows, err := Sweep(context.Background(), g, Config{Width: 2, Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestQuickDisjointWindowsPartitionEdges(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		windows, err := Sweep(g, Config{Width: width, Stride: width})
+		windows, err := Sweep(context.Background(), g, Config{Width: width, Stride: width})
 		if err != nil {
 			return false
 		}
@@ -284,5 +287,42 @@ func TestQuickDisjointWindowsPartitionEdges(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepWidthNearMaxInt64 pins the overflow-free window end: a width of
+// math.MaxInt64 used to wrap Start+Width negative, so no edge entered and no
+// window ended the sweep. One window must hold every edge. The deadline turns
+// a regression into a failure instead of a hang.
+func TestSweepWidthNearMaxInt64(t *testing.T) {
+	edges := [][]int32{{0, 1, 2}, {1, 2, 3}, {2, 3, 4}}
+	g := timedGraph(t, edges, []int64{1984, 1999, 2013}, 5)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	windows, err := Sweep(ctx, g, Config{Width: math.MaxInt64, Stride: 1})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if len(windows) != 1 || windows[0].Edges != len(edges) {
+		t.Fatalf("got %d windows (first %+v), want one window holding all %d edges", len(windows), windows[0], len(edges))
+	}
+	if windows[0].Start != 1984 || windows[0].End != math.MaxInt64 {
+		t.Fatalf("window [%d, %d), want [1984, MaxInt64)", windows[0].Start, windows[0].End)
+	}
+	if windows[0].Counts.Total() != 1 {
+		t.Fatalf("window holds %v instances, want 1", windows[0].Counts.Total())
+	}
+}
+
+// TestSweepStopsOnCancel asserts that Sweep checks its context between
+// windows and returns its cause.
+func TestSweepStopsOnCancel(t *testing.T) {
+	g := timedGraph(t, [][]int32{{0, 1}, {1, 2}}, []int64{0, math.MaxInt64 / 2}, 3)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	stop := errors.New("sweep abandoned")
+	cancel(stop)
+	windows, err := Sweep(ctx, g, Config{Width: 1, Stride: 1})
+	if !errors.Is(err, stop) || windows != nil {
+		t.Fatalf("Sweep on a cancelled context = %d windows, %v; want nil, %v", len(windows), err, stop)
 	}
 }

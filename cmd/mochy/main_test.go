@@ -92,6 +92,15 @@ func TestWindowSubcommand(t *testing.T) {
 	if err := runWindow([]string{"-in", untimed}); err == nil {
 		t.Fatal("untimed file accepted")
 	}
+	// 4,097 windows at stride 1 pass the sweep's cap and must be refused. A
+	// regression prints them all rather than running out of memory.
+	wide := filepath.Join(dir, "wide.hg")
+	if err := os.WriteFile(wide, []byte("0 1 t=0\n1 2 t=4096\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runWindow([]string{"-in", wide, "-width", "1", "-stride", "1"}); err == nil {
+		t.Fatal("a sweep of 4,097 windows accepted")
+	}
 }
 
 func TestAnomalySubcommand(t *testing.T) {

@@ -41,7 +41,8 @@ type WindowConfig = temporal.Config
 type Window = temporal.Window
 
 // SweepWindows slides windows over a timed hypergraph, returning one exact
-// h-motif census per window, maintained incrementally.
+// h-motif census per window, maintained incrementally. A sweep of more than
+// 4,096 windows is refused before its first window.
 func SweepWindows(g *Hypergraph, cfg WindowConfig) ([]Window, error) {
 	return temporal.Sweep(context.Background(), g, cfg)
 }

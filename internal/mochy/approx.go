@@ -39,10 +39,10 @@ func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projec
 	if s <= 0 || g.NumEdges() == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, s, seed, func(out *Counts, buf *nbrBuffers) {
+	total, err := parallelSamples(ctx, workers, s, seed, func(buf *nbrBuffers) {
 		i := int32(buf.rng.Intn(g.NumEdges()))
 		buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
-		countContaining(g, p, g.Edge(int(i)), i, buf.ni, out, buf)
+		countContaining(g, p, g.Edge(int(i)), i, buf.ni, &buf.counts, buf)
 	})
 	if err != nil {
 		return Counts{}, err
@@ -58,16 +58,38 @@ func CountEdgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p projec
 // sample blocks so the sampling loops allocate nothing after warmup:
 // neighborhood copies (Projector implementations only guarantee the
 // returned slice until the next Neighbors call), MoCHy-A's classifier, and
-// MoCHy-A+'s shared nodes S = e_i ∩ e_j of the sampled wedge with its
-// counter inS, where inS[k] = |S ∩ e_k| while a wedge is being counted and 0
-// otherwise. The counter costs 4·|E| bytes, allocated on first use. rng is
-// the worker's one RNG, re-seeded at the start of every sample block.
+// MoCHy-A+'s per-wedge arrays (see countContainingWedge). For the sampled
+// wedge ∧ij, shared holds S = e_i ∩ e_j, inS[k] = |S ∩ e_k| and wik[k] = ω_ik;
+// both arrays are indexed by edge, cost 4·|E| bytes each, are allocated on
+// first use and read 0 between wedges. tally counts the wedges' candidates by
+// 7-bit pattern until fold moves them into counts, the worker's raw
+// per-motif counts, once per sample block; MoCHy-A's walker adds to counts
+// directly. rng is the worker's one RNG, re-seeded at the start of every
+// sample block.
 type nbrBuffers struct {
 	ni, nj []projection.Neighbor
 	pc     pairClass
 	shared []int32
 	inS    []int32
+	wik    []int32
 	rng    *rand.Rand
+	tally  [1 << motif.NumRegions]int64
+	counts Counts
+}
+
+// fold adds the tallied candidates to out, by motif, and clears the tally.
+// motif.FromPattern maps the patterns of invalid triples to 0, which fold
+// drops.
+func (b *nbrBuffers) fold(out *Counts) {
+	for p, n := range &b.tally {
+		if n == 0 {
+			continue
+		}
+		if id := motif.FromPattern(motif.Pattern(p)); id != 0 {
+			out[id-1] += float64(n)
+		}
+		b.tally[p] = 0
+	}
 }
 
 // EdgeSets serves the node set of every hyperedge, ascending. MoCHy-A's
@@ -122,8 +144,9 @@ func countContaining(g EdgeSets, p projection.Projector, ei []int32, self int32,
 // instance containing each sampled wedge, and rescales open-motif estimates
 // by |∧|/(2r) and closed-motif estimates by |∧|/(3r), which makes every
 // estimate unbiased (Theorem 4). Results are deterministic for a fixed seed
-// at every worker count. Each worker holds one RNG, copies of two
-// neighborhoods and a counter of 4·|E| bytes (see nbrBuffers).
+// at every worker count. Each worker holds one RNG, a copy of one
+// neighborhood, two arrays of 4·|E| bytes and a 1 KB pattern tally (see
+// nbrBuffers).
 func CountWedgeSamples(g *hypergraph.Hypergraph, p projection.Projector, sampler projection.WedgeSampler, r int, seed int64, workers int) Counts {
 	c, _ := CountWedgeSamplesCtx(context.Background(), g, p, sampler, r, seed, workers)
 	return c
@@ -138,9 +161,9 @@ func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p proje
 	if r <= 0 || numWedges == 0 {
 		return Counts{}, nil
 	}
-	total, err := parallelSamples(ctx, workers, r, seed, func(out *Counts, buf *nbrBuffers) {
+	total, err := parallelSamples(ctx, workers, r, seed, func(buf *nbrBuffers) {
 		i, j := sampler.SampleWedge(buf.rng)
-		countContainingWedge(g, p, i, j, out, buf)
+		countContainingWedge(g, p, i, j, buf)
 	})
 	if err != nil {
 		return Counts{}, err
@@ -155,52 +178,60 @@ func CountWedgeSamplesCtx(ctx context.Context, g *hypergraph.Hypergraph, p proje
 	return total, nil
 }
 
-// countContainingWedge accumulates one raw count for every h-motif instance
-// containing the hyperwedge ∧ij (lines 4-5 of Algorithm 5), walking the two
-// sorted neighborhoods with a single merge so each candidate e_k in
-// N(e_i) ∪ N(e_j) \ {e_i, e_j} is visited once with both overlaps in hand.
-// Lemma 2's triple intersection |S ∩ e_k|, for S = e_i ∩ e_j, comes from one
-// walk of the incidence lists of S's nodes, which adds one to inS[k] per
-// node of S in e_k. Every edge it reaches holds a node of S, so it is e_i,
-// e_j or a closed candidate, and the walk costs Σ_k |S ∩ e_k| with no
-// search; each candidate then reads its triple intersection as one load
-// (0 for an open one), and a second walk clears the entries the first set.
-func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j int32, out *Counts, buf *nbrBuffers) {
+// countContainingWedge tallies, by 7-bit pattern, one candidate for every
+// h-motif instance containing the hyperwedge ∧ij (lines 4-5 of Algorithm
+// 5), in flat passes over per-worker arrays indexed by edge (see
+// nbrBuffers). Lemma 2's triple intersection |S ∩ e_k|, for S = e_i ∩ e_j,
+// comes from one walk of the incidence lists of S's nodes, which adds one
+// to inS[k] per node of S in e_k; every edge it reaches is e_i, e_j or a
+// closed candidate, so the walk costs Σ_k |S ∩ e_k| with no search. Then:
+//
+//  1. ω_ik is stamped into wik for every e_k ∈ N(e_i) but e_j.
+//  2. A walk of N(e_j) reads both as plain loads for every e_k but e_i,
+//     tallies its pattern and clears its stamp.
+//  3. A walk of N(e_i) tallies the entries still stamped, the open
+//     candidates centred at e_i (ω_jk = 0, no node of S), and clears them.
+//     Entries already cleared, e_j among them, tally a disconnected pattern,
+//     which fold drops.
+//
+// Only N(e_i) is copied: N(e_j) is walked before the next Neighbors call.
+func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j int32, buf *nbrBuffers) {
 	buf.ni = append(buf.ni[:0], p.Neighbors(i)...)
-	buf.nj = append(buf.nj[:0], p.Neighbors(j)...)
 	buf.shared = intersect(buf.shared[:0], g.Edge(int(i)), g.Edge(int(j)))
 	if buf.inS == nil {
 		buf.inS = make([]int32, g.NumEdges())
+		buf.wik = make([]int32, g.NumEdges())
 	}
-	ni, nj, inS := buf.ni, buf.nj, buf.inS
+	ni, inS, wik, tally := buf.ni, buf.inS, buf.wik, &buf.tally
 	for _, v := range buf.shared {
 		for _, k := range g.IncidentEdges(v) {
 			inS[k]++
 		}
 	}
+	for _, nb := range ni {
+		wik[nb.Edge] = nb.Overlap
+	}
+	wik[j] = 0
 	si, sj, wij := int32(g.EdgeSize(int(i))), int32(g.EdgeSize(int(j))), int32(len(buf.shared))
-	a, b := 0, 0
-	for a < len(ni) || b < len(nj) {
-		var k, wik, wjk int32
-		switch {
-		case b == len(nj) || (a < len(ni) && ni[a].Edge < nj[b].Edge):
-			k, wik = ni[a].Edge, ni[a].Overlap
-			a++
-		case a == len(ni) || nj[b].Edge < ni[a].Edge:
-			k, wjk = nj[b].Edge, nj[b].Overlap
-			b++
-		default: // same edge in both neighborhoods
-			k, wik, wjk = ni[a].Edge, ni[a].Overlap, nj[b].Overlap
-			a++
-			b++
-		}
-		if k == i || k == j {
+	// Patterns have 7 bits; masking them with 0x7f drops the tally's bounds
+	// checks.
+	for _, nb := range p.Neighbors(j) {
+		k := nb.Edge
+		if k == i {
 			continue
 		}
-		sk := int32(g.EdgeSize(int(k)))
-		if id := motif.FromPattern(patternOf(si, sj, sk, wij, wjk, wik, inS[k])); id != 0 {
-			out[id-1]++
-		}
+		tally[patternOf(si, sj, int32(g.EdgeSize(int(k))), wij, nb.Overlap, wik[k], inS[k])&0x7f]++
+		wik[k] = 0
+	}
+	// patternOf with ω_jk = |S ∩ e_k| = 0, whose B and AB bits are fixed.
+	open := motif.Pattern(nonEmpty(sj-wij)<<motif.RegionB | 1<<motif.RegionAB)
+	for _, nb := range ni {
+		k := nb.Edge
+		w := wik[k]
+		tally[(open|motif.Pattern(nonEmpty(si-wij-w)<<motif.RegionA|
+			nonEmpty(int32(g.EdgeSize(int(k)))-w)<<motif.RegionC|
+			nonEmpty(w)<<motif.RegionCA))&0x7f]++
+		wik[k] = 0
 	}
 	for _, v := range buf.shared {
 		for _, k := range g.IncidentEdges(v) {
@@ -211,30 +242,34 @@ func countContainingWedge(g *hypergraph.Hypergraph, p projection.Projector, i, j
 
 // parallelSamples draws n > 0 samples on the anchor loop (see run), whose
 // anchors are blocks of sampleBlock samples: block b re-seeds the worker's
-// RNG from (seed, b) and calls sample for each of its samples. Because
-// streams attach to blocks rather than workers, and raw per-motif counts are
-// integer increments (merge order cannot perturb them), the result is
-// identical for every worker count. It fails when the blocks do not fit the
-// anchor loop's int32 anchor space.
-func parallelSamples(ctx context.Context, workers, n int, seed int64, sample func(out *Counts, buf *nbrBuffers)) (Counts, error) {
+// RNG from (seed, b) and calls sample for each of its samples, which counts
+// into the worker's nbrBuffers, and then folds the worker's tally into its
+// counts. Every worker writes only to buffers of its own, and the merge adds
+// their counts. Because streams attach to blocks rather than workers, and
+// raw per-motif counts are integers (merge order cannot perturb them), the
+// result is identical for every worker count. It fails when the blocks do
+// not fit the anchor loop's int32 anchor space.
+func parallelSamples(ctx context.Context, workers, n int, seed int64, sample func(buf *nbrBuffers)) (Counts, error) {
 	blocks := (n-1)/sampleBlock + 1
 	if blocks > math.MaxInt32 {
 		return Counts{}, fmt.Errorf("mochy: %d samples need %d sample blocks, more than the %d one run schedules", n, blocks, math.MaxInt32)
 	}
 	opts := Options{Workers: workers}
-	results := make([]Counts, opts.workers())
+	bufs := make([]*nbrBuffers, opts.workers())
 	var total Counts
 	_, err := run(ctx, nil, blocks, opts, nil, func(w int) anchorFunc {
-		buf := nbrBuffers{rng: rand.New(rand.NewSource(seed))}
+		buf := &nbrBuffers{rng: rand.New(rand.NewSource(seed))}
+		bufs[w] = buf
 		return func(b int32) {
 			buf.rng.Seed(seed + int64(b)*0x9e3779b9)
 			for left := min(sampleBlock, n-int(b)*sampleBlock); left > 0; left-- {
-				sample(&results[w], &buf)
+				sample(buf)
 			}
+			buf.fold(&buf.counts)
 		}
 	}, func() {
-		for w := range results {
-			total.add(&results[w])
+		for _, buf := range bufs {
+			total.add(&buf.counts)
 		}
 	})
 	return total, err

@@ -2,11 +2,12 @@ package mochy
 
 // Kernel benchmarks behind BENCH_kernel.json: CountExact (and beside it the
 // Algorithm-2 CountPairs) and PerEdgeCounts at explicit worker counts on a
-// uniform-membership and a power-law (skewed) hypergraph. Run with
-// -cpu 1,2,4,8 so each -cpu point sets GOMAXPROCS and the exact kernel uses
-// one worker per scheduler thread:
+// uniform-membership and a power-law (skewed) hypergraph, and MoCHy-A+ on
+// the same two graphs. Run with -cpu 1,2,4,8 so each -cpu point sets
+// GOMAXPROCS and the exact kernel and the sampler use one worker per
+// scheduler thread:
 //
-//	go test -run '^$' -bench 'CountExactParallel|PerEdgeCountsParallel' \
+//	go test -run '^$' -bench 'CountExactParallel|PerEdgeCountsParallel|CountWedgeSamplesParallel' \
 //	    -benchtime 2s -cpu 1,2,4,8 ./internal/mochy
 //
 // The skewed graph concentrates node membership zipf-style, so a handful of
@@ -130,6 +131,26 @@ func BenchmarkPerEdgeCountsParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := PerEdgeCounts(context.Background(), g, p, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCountWedgeSamplesParallel measures one MoCHy-A+ run with one
+// worker per GOMAXPROCS thread (vary via -cpu 1,2,4,8), at r = 1% of the
+// hyperwedges as in the census-sampled workload. The other sampler
+// benchmarks run one worker, so only this one shows what workers cost each
+// other.
+func BenchmarkCountWedgeSamplesParallel(b *testing.B) {
+	for _, shape := range benchShapes(4096) {
+		p := projection.Build(shape.g)
+		r := int(max(1, p.NumWedges()/100))
+		b.Run(shape.name, func(b *testing.B) {
+			workers := runtime.GOMAXPROCS(0)
+			for i := 0; i < b.N; i++ {
+				if _, err := CountWedgeSamplesCtx(context.Background(), shape.g, p, p, r, int64(i), workers); err != nil {
 					b.Fatal(err)
 				}
 			}

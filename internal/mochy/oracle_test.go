@@ -99,9 +99,10 @@ func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget in
 			}
 		}
 	}
-	// MoCHy-A+'s per-wedge walker: the raw counts it adds for ∧ij, in either
-	// order, are the instances {i, j, k} by motif. One buffer serves every
-	// wedge, so a counter left dirty by one wedge shows in the next.
+	// MoCHy-A+'s per-wedge walker: the raw counts it tallies for ∧ij, in
+	// either order and folded as the sampling loop folds them, are the
+	// instances {i, j, k} by motif. One buffer serves every wedge, so a
+	// counter, stamp or tally left dirty by one wedge shows in the next.
 	byPair := make(map[[2]int32]Counts)
 	for key, id := range want.instances {
 		for _, pair := range [][2]int32{{key[0], key[1]}, {key[0], key[2]}, {key[1], key[2]}} {
@@ -116,7 +117,8 @@ func checkOracle(t *testing.T, label string, g *hypergraph.Hypergraph, budget in
 			wantW := byPair[[2]int32{min(i, nb.Edge), max(i, nb.Edge)}]
 			for _, w := range [][2]int32{{i, nb.Edge}, {nb.Edge, i}} {
 				var got Counts
-				countContainingWedge(g, p, w[0], w[1], &got, &buf)
+				countContainingWedge(g, p, w[0], w[1], &buf)
+				buf.fold(&got)
 				if got != wantW {
 					t.Fatalf("%s: countContainingWedge(%d, %d) = %v, brute force %v",
 						label, w[0], w[1], got.String(), wantW.String())

@@ -22,10 +22,6 @@ import (
 	"mochy/internal/temporal"
 )
 
-// maxTemporalWindows bounds a temporal sweep's output: the per-window work is
-// amortized, but the response still carries one summary per window.
-const maxTemporalWindows = 4096
-
 // Key builds the cache key of every stage result:
 // "<graphID>|<kind>|<params>", where graphID is "<name>#<generation>" (see
 // Env.GraphID), so every entry of a graph shares its name prefix and dies
@@ -337,17 +333,9 @@ func runCluster(ctx context.Context, env *Env, p *api.ClusterParams) (api.Cluste
 // runTemporal sweeps sliding windows over a timed graph, summarizing each
 // window's census plus the drift series between consecutive windows.
 func runTemporal(ctx context.Context, env *Env, p *api.TemporalParams) (api.TemporalResult, bool, error) {
-	if env.Graph.NumEdges() > 0 {
-		if !env.Graph.Timed() {
-			return api.TemporalResult{}, false, temporal.ErrUntimed
-		}
-		// hi-lo as a uint64 is the exact span even where the int64
-		// subtraction wraps, and the sweep takes at most span/stride + 1
-		// windows.
-		lo, hi := env.Graph.TimeRange()
-		if steps := uint64(hi-lo) / uint64(p.Stride); steps >= maxTemporalWindows {
-			return api.TemporalResult{}, false, fmt.Errorf("stride %d over time range [%d, %d] yields more than the cap of %d windows", p.Stride, lo, hi, maxTemporalWindows)
-		}
+	// Refuse an untimed graph or an oversized sweep before pool admission.
+	if err := temporal.CheckWindows(env.Graph, p.Stride); err != nil {
+		return api.TemporalResult{}, false, err
 	}
 	params := fmt.Sprintf("w=%d|s=%d", p.Width, p.Stride)
 	res, cached, err := serve(ctx, env, api.StageTemporal, params, false, func(ctx context.Context) (api.TemporalResult, error) {

@@ -24,10 +24,16 @@ import (
 	"mochy/internal/stats"
 )
 
+// MaxWindows caps the windows of one sweep. The per-window work is
+// amortized, but the sweep returns one census per window, so a wide time
+// range at a small stride would otherwise exhaust memory before it returned.
+const MaxWindows = 4096
+
 // Errors returned by Sweep.
 var (
-	ErrUntimed   = errors.New("temporal: hypergraph has no edge timestamps")
-	ErrBadWindow = errors.New("temporal: window width and stride must be positive")
+	ErrUntimed        = errors.New("temporal: hypergraph has no edge timestamps")
+	ErrBadWindow      = errors.New("temporal: window width and stride must be positive")
+	ErrTooManyWindows = fmt.Errorf("temporal: sweep exceeds the cap of %d windows", MaxWindows)
 )
 
 // Config parameterizes a sliding-window sweep. Windows are half-open time
@@ -60,19 +66,19 @@ func (w *Window) Fractions() [motif.Count]float64 { return w.Counts.Fractions() 
 // h-motif census per window. Edges are inserted into and deleted from a
 // dynamic counter as the window advances, so the total work is proportional
 // to the number of window transitions each hyperedge makes, not to the
-// number of windows times the graph size. It checks ctx between windows
-// and returns context.Cause once ctx is done.
+// number of windows times the graph size. It checks ctx before the first
+// window and between windows, and returns context.Cause once ctx is done. A
+// sweep of more than MaxWindows windows is refused before the first one
+// (see CheckWindows).
 func Sweep(ctx context.Context, g *hypergraph.Hypergraph, cfg Config) ([]Window, error) {
 	if cfg.Width <= 0 || cfg.Stride <= 0 {
 		return nil, ErrBadWindow
 	}
-	if g.NumEdges() == 0 {
-		// An edgeless hypergraph has no time range (and, as a representation
-		// quirk, no timestamps either): the sweep is trivially empty.
-		return nil, nil
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
-	if !g.Timed() {
-		return nil, ErrUntimed
+	if err := CheckWindows(g, cfg.Stride); err != nil || g.NumEdges() == 0 {
+		return nil, err
 	}
 
 	// Edge indices in timestamp order; insertion and eviction both advance
@@ -124,6 +130,29 @@ func Sweep(ctx context.Context, g *hypergraph.Hypergraph, cfg Config) ([]Window,
 		}
 	}
 	return windows, nil
+}
+
+// CheckWindows returns the error Sweep refuses g with at a stride > 0
+// before its first window: ErrUntimed for edges without timestamps, or
+// ErrTooManyWindows, with the stride and time range, for a sweep of more
+// than MaxWindows windows. The pipeline's temporal stage calls it before
+// taking a worker.
+func CheckWindows(g *hypergraph.Hypergraph, stride int64) error {
+	if g.NumEdges() == 0 {
+		// An edgeless hypergraph has no time range (and, as a representation
+		// quirk, no timestamps either): the sweep is trivially empty.
+		return nil
+	}
+	if !g.Timed() {
+		return ErrUntimed
+	}
+	// hi-lo as a uint64 is the exact span even where the int64 subtraction
+	// wraps, and the sweep takes at most span/stride + 1 windows.
+	lo, hi := g.TimeRange()
+	if uint64(hi-lo)/uint64(stride) >= MaxWindows {
+		return fmt.Errorf("%w: stride %d over time range [%d, %d]", ErrTooManyWindows, stride, lo, hi)
+	}
+	return nil
 }
 
 // before reports whether t < start+width for width > 0, without forming the

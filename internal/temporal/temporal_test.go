@@ -326,3 +326,31 @@ func TestSweepStopsOnCancel(t *testing.T) {
 		t.Fatalf("Sweep on a cancelled context = %d windows, %v; want nil, %v", len(windows), err, stop)
 	}
 }
+
+// TestSweepWindowCap pins the cap at its edge: a time range of 4,095 at
+// stride 1 sweeps exactly MaxWindows windows, and one more time unit is
+// refused before the first window.
+func TestSweepWindowCap(t *testing.T) {
+	cfg := Config{Width: 1, Stride: 1}
+	g := timedGraph(t, [][]int32{{0, 1}, {1, 2}}, []int64{0, MaxWindows - 1}, 3)
+	windows, err := Sweep(context.Background(), g, cfg)
+	if err != nil || len(windows) != MaxWindows {
+		t.Fatalf("Sweep over [0, %d] = %d windows, %v; want %d", MaxWindows-1, len(windows), err, MaxWindows)
+	}
+	g = timedGraph(t, [][]int32{{0, 1}, {1, 2}}, []int64{0, MaxWindows}, 3)
+	if windows, err := Sweep(context.Background(), g, cfg); !errors.Is(err, ErrTooManyWindows) || windows != nil {
+		t.Fatalf("Sweep over [0, %d] = %d windows, %v; want %v", MaxWindows, len(windows), err, ErrTooManyWindows)
+	}
+}
+
+// TestSweepCapSpansFullInt64Range: the cap holds when the time range spans
+// more than math.MaxInt64, where hi-lo wraps negative. The deadline turns a
+// regression into a failure instead of a sweep that runs out of memory.
+func TestSweepCapSpansFullInt64Range(t *testing.T) {
+	g := timedGraph(t, [][]int32{{0, 1}, {1, 2}}, []int64{-9e18, 9e18}, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if windows, err := Sweep(ctx, g, Config{Width: 1, Stride: 1}); !errors.Is(err, ErrTooManyWindows) || windows != nil {
+		t.Fatalf("Sweep over [-9e18, 9e18] = %d windows, %v; want %v", len(windows), err, ErrTooManyWindows)
+	}
+}
